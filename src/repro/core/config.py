@@ -8,8 +8,7 @@ morsel size, planner gates)::
                          config=StoreConfig(mmap=True,
                                             execution_mode="batch"))
 
-The old keywords still work behind a :class:`DeprecationWarning` shim,
-and a config value is picklable (when ``page_cache`` is left to its
+A config value is picklable (when ``page_cache`` is left to its
 default), which is what lets the multi-process replica tier ship one
 config to every worker it spawns.
 """
@@ -48,13 +47,6 @@ class StoreConfig:
         execution: 0 = auto (the serving pool's worker count when one
         is running, serial otherwise), 1 = serial, N = up to N morsel
         tasks per query. Per-query override via ``QueryOptions``.
-    use_compiled_kernels
-        Run batch WHERE/projection expressions through precompiled
-        closure kernels (off = the interpreted baseline; the
-        compiled-vs-interpreted ablation gate).
-    use_csr_adjacency
-        Promote the CSR adjacency snapshot (lazily built) to the
-        default read format for batch execution.
     use_compiled_csr
         Serve adjacency and resolved neighbors from the store's
         persistent compiled CSR segments when the store carries them
@@ -75,8 +67,6 @@ class StoreConfig:
     execution_mode: str = "auto"
     morsel_size: int | None = None
     parallelism: int = 0
-    use_compiled_kernels: bool = True
-    use_csr_adjacency: bool = True
     use_compiled_csr: bool = True
     use_reachability_rewrite: bool = True
     use_cost_based_planner: bool = True

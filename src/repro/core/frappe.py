@@ -22,8 +22,6 @@ Typical flows::
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
 from concurrent.futures import Future
 from typing import Any, Iterable, Mapping, Optional
 
@@ -51,9 +49,7 @@ class Frappe:
                  use_cost_based_planner: bool = True,
                  execution_mode: str = "auto",
                  morsel_size: int | None = None,
-                 parallelism: int = 0,
-                 use_compiled_kernels: bool = True,
-                 use_csr_adjacency: bool = True) -> None:
+                 parallelism: int = 0) -> None:
         self.view = view
         #: one observability bundle per instance: the engine, page
         #: cache, store reader, indexes and traversals all emit into
@@ -70,8 +66,7 @@ class Frappe:
             use_reachability_rewrite=use_reachability_rewrite,
             use_cost_based_planner=use_cost_based_planner,
             execution_mode=execution_mode, parallelism=parallelism,
-            use_compiled_kernels=use_compiled_kernels,
-            use_csr_adjacency=use_csr_adjacency, **engine_kw)
+            **engine_kw)
         #: per-unit outcomes of the build this graph came from (None
         #: for stores opened from disk)
         self.build_report: BuildReport | None = None
@@ -113,28 +108,17 @@ class Frappe:
         build.run_script(build_script)
         return cls.index_build(build, default_timeout)
 
-    #: ``Frappe.open`` keywords that predate :class:`StoreConfig`;
-    #: each maps onto the config field of the same name
-    _OPEN_LEGACY_KWARGS = ("page_cache", "default_timeout", "mmap",
-                           "execution_mode", "morsel_size")
-
     @classmethod
-    def open(cls, directory: str, *legacy: Any,
-             config: StoreConfig | None = None,
-             **legacy_kwargs: Any) -> "Frappe":
+    def open(cls, directory: str, *,
+             config: StoreConfig | None = None) -> "Frappe":
         """Open a saved store as a page-cached read view.
 
         All open-time knobs live on one :class:`StoreConfig` value::
 
             Frappe.open(path, config=StoreConfig(mmap=True))
-
-        The pre-config keywords (``page_cache``, ``default_timeout``,
-        ``mmap``, ``execution_mode``, ``morsel_size`` — positionally
-        for the first two) still work but emit a
-        :class:`DeprecationWarning` and cannot be combined with an
-        explicit ``config``.
         """
-        config = cls._shim_open_kwargs(config, legacy, legacy_kwargs)
+        if config is None:
+            config = StoreConfig()
         engine_kw: dict[str, Any] = {}
         if config.morsel_size is not None:
             engine_kw["morsel_size"] = config.morsel_size
@@ -145,45 +129,7 @@ class Frappe:
                    use_cost_based_planner=config.use_cost_based_planner,
                    execution_mode=config.execution_mode,
                    parallelism=config.parallelism,
-                   use_compiled_kernels=config.use_compiled_kernels,
-                   use_csr_adjacency=config.use_csr_adjacency,
                    **engine_kw)
-
-    @classmethod
-    def _shim_open_kwargs(cls, config: StoreConfig | None,
-                          legacy: tuple[Any, ...],
-                          legacy_kwargs: dict[str, Any]) -> StoreConfig:
-        """Fold pre-``StoreConfig`` arguments into a config value."""
-        if len(legacy) > len(cls._OPEN_LEGACY_KWARGS[:2]):
-            raise TypeError(
-                "open() takes at most two positional configuration "
-                "arguments (page_cache, default_timeout)")
-        for name, value in zip(cls._OPEN_LEGACY_KWARGS, legacy):
-            if name in legacy_kwargs:
-                raise TypeError(f"open() got multiple values for "
-                                f"argument {name!r}")
-            legacy_kwargs[name] = value
-        unknown = set(legacy_kwargs) - set(cls._OPEN_LEGACY_KWARGS)
-        if unknown:
-            raise TypeError("open() got unexpected keyword "
-                            "argument(s): "
-                            + ", ".join(sorted(unknown)))
-        overrides = {name: value
-                     for name, value in legacy_kwargs.items()
-                     if value is not None and value is not False}
-        if not overrides and not legacy_kwargs:
-            return config if config is not None else StoreConfig()
-        if config is not None:
-            raise TypeError(
-                "open() got both config= and the deprecated "
-                "per-knob arguments: "
-                + ", ".join(sorted(legacy_kwargs)))
-        warnings.warn(
-            "passing Frappe.open() knobs individually ("
-            + ", ".join(sorted(legacy_kwargs))
-            + ") is deprecated; pass config=StoreConfig(...)",
-            DeprecationWarning, stacklevel=3)
-        return dataclasses.replace(StoreConfig(), **overrides)
 
     def save(self, directory: str) -> dict[str, int]:
         """Persist to a store directory; returns the size breakdown."""
@@ -205,15 +151,6 @@ class Frappe:
             evict()
         self.engine.evict_epoch_memos()
         self.reset_counters()
-
-    def snapshot_adjacency(self) -> None:
-        """Materialize the store's adjacency lists in memory (a
-        CSR-style snapshot): traversal-heavy workloads then expand
-        edges without touching the page cache. No-op for in-memory
-        graphs; dropped again by :meth:`evict_caches`."""
-        snapshot = getattr(self.view, "snapshot_adjacency", None)
-        if snapshot is not None:
-            snapshot()
 
     def close(self) -> None:
         if self._executor is not None:
@@ -251,7 +188,7 @@ class Frappe:
 
     def query(self, text: str,
               parameters: Mapping[str, Any] | None = None,
-              *deprecated: float | None,
+              *,
               timeout: float | None = None,
               options: QueryOptions | None = None) -> Result:
         """Run Cypher text against the graph.
@@ -259,11 +196,8 @@ class Frappe:
         ``options`` is the structured knob surface
         (:class:`~repro.cypher.QueryOptions`: timeout, max_rows,
         profile, parameters); explicit keywords win over option
-        fields. The old positional-timeout form still works but emits
-        a :class:`DeprecationWarning`.
+        fields.
         """
-        timeout = CypherEngine._shim_positional_timeout(deprecated,
-                                                        timeout)
         return self.engine.run(text, parameters, timeout=timeout,
                                options=options)
 

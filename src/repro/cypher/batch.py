@@ -40,8 +40,7 @@ from typing import Any, Iterator, Mapping
 from repro.cypher import ast
 from repro.cypher import matcher as _matcher
 from repro.cypher.evaluator import (ExecutionContext, compile_expr,
-                                    compile_props, evaluate, expr_kernel,
-                                    literal_props)
+                                    compile_props, literal_props)
 from repro.cypher.executor import (_aggregate, _as_count, _column_names,
                                    _distinct, _order, _projection_operator,
                                    _top_k)
@@ -778,16 +777,9 @@ def _edge_filter(rel: ast.RelPattern, ctx: ExecutionContext):
     :func:`repro.cypher.matcher._edge_props_ok` (same per-key db-hit
     charging, same short-circuit order) — or ``None`` when the map is
     empty. Compiled checks are cached on the AST node, so they live
-    with the plan; the interpreted shim serves the ablation."""
+    with the plan."""
     if not rel.properties:
         return None
-    if not ctx.use_compiled_kernels:
-
-        def interpreted(edge_id: int, row: Mapping[str, Any],
-                        context: ExecutionContext) -> bool:
-            return _matcher._edge_props_ok(rel, edge_id, row, context)
-
-        return interpreted
     check = getattr(rel, "_compiled_edge_check", None)
     if check is None:
         literals = literal_props(rel.properties)
@@ -823,13 +815,6 @@ def _node_filter(node: ast.NodePattern, ctx: ExecutionContext):
     """A ``(node_id, row, ctx) -> bool`` check mirroring
     :func:`repro.cypher.matcher._node_ok` exactly (prior-binding,
     labels, then the property map — db-hits in that order)."""
-    if not ctx.use_compiled_kernels:
-
-        def interpreted(node_id: int, row: Mapping[str, Any],
-                        context: ExecutionContext) -> bool:
-            return _matcher._node_ok(node, node_id, row, context)
-
-        return interpreted
     check = getattr(node, "_compiled_node_check", None)
     if check is None:
         variable = node.variable
@@ -934,10 +919,9 @@ def _expand_chunk(step: Any,
     target_labels = target.labels
     target_props = target.properties
     target_prop_literals = literal_props(target_props) \
-        if target_props and ctx.use_compiled_kernels else None
+        if target_props else None
     target_prop_checks = compile_props(target_props) \
-        if target_props and ctx.use_compiled_kernels \
-        and target_prop_literals is None else None
+        if target_props and target_prop_literals is None else None
     edge_ok = _edge_filter(rel, ctx)
     view_node_labels = ctx.view.node_labels
     view_node_property = ctx.view.node_property
@@ -991,16 +975,9 @@ def _expand_chunk(step: Any,
                         if view_node_property(neighbor, key) != wanted:
                             ok = False
                             break
-                elif target_prop_checks is not None:
+                else:
                     for key, kernel in target_prop_checks:
                         wanted = kernel(view, ctx)
-                        db_hit()
-                        if view_node_property(neighbor, key) != wanted:
-                            ok = False
-                            break
-                else:
-                    for key, expr in target_props:
-                        wanted = evaluate(expr, view, ctx)
                         db_hit()
                         if view_node_property(neighbor, key) != wanted:
                             ok = False
@@ -1171,7 +1148,7 @@ def _frontier_parallel(frontier: list[int], direction: Any,
 
 def _filter_stage(predicate: ast.Expr, batches: Iterator[RowBatch],
                   ctx: ExecutionContext) -> Iterator[RowBatch]:
-    kernel = expr_kernel(predicate, ctx)
+    kernel = compile_expr(predicate)
     for batch in batches:
         keep = []
         append = keep.append
@@ -1208,7 +1185,7 @@ def _with_stage(clause: ast.With, batches: Iterator[RowBatch],
     last = {name: position for position, name in enumerate(columns)}
     slots = {name: slot for slot, name in enumerate(last)}
     sources = list(last.values())
-    where_kernel = expr_kernel(clause.where, ctx) \
+    where_kernel = compile_expr(clause.where) \
         if clause.where is not None else None
     builder = _Builder(slots, morsel_size)
     for values in data:
@@ -1338,12 +1315,8 @@ def _project_batch(items: tuple[ast.ReturnItem, ...], distinct: bool,
             scoped = _aggregate(items, _views(batches), ctx)
         else:
             kernels = [_column_kernel(item.expression)
+                       or _compiled_column_kernel(item.expression)
                        for item in items]
-            if ctx.use_compiled_kernels:
-                kernels = [kernel if kernel is not None
-                           else _compiled_column_kernel(item.expression)
-                           for kernel, item in zip(kernels, items)]
-            vectorized = all(kernel is not None for kernel in kernels)
             # scope rows are only ever read back by ORDER BY's key
             # evaluation; everything else uses the value tuples
             need_scope = bool(order_by)
@@ -1353,19 +1326,10 @@ def _project_batch(items: tuple[ast.ReturnItem, ...], distinct: bool,
                 if not count:
                     continue
                 ctx.tick(count)
-                if vectorized:
-                    out_columns = [kernel(batch, ctx)
-                                   for kernel in kernels]
-                    scopes = batch.views() if need_scope \
-                        else itertools.repeat(_EMPTY_SCOPE, count)
-                    scoped.extend(zip(zip(*out_columns), scopes))
-                else:
-                    for index in range(count):
-                        view = batch.row_view(index)
-                        values = tuple(
-                            evaluate(item.expression, view, ctx)
-                            for item in items)
-                        scoped.append((values, view))
+                out_columns = [kernel(batch, ctx) for kernel in kernels]
+                scopes = batch.views() if need_scope \
+                    else itertools.repeat(_EMPTY_SCOPE, count)
+                scoped.extend(zip(zip(*out_columns), scopes))
     if distinct:
         if profiler is not None:
             operator = profiler.operator(plan, "distinct", "Distinct")

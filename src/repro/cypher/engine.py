@@ -22,7 +22,6 @@ share across the serving executor's worker threads.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Mapping
 
 from repro.cypher import ast
@@ -69,9 +68,7 @@ class CypherEngine:
                  plan_cache_capacity: int = DEFAULT_CAPACITY,
                  execution_mode: str = "auto",
                  morsel_size: int = DEFAULT_MORSEL_SIZE,
-                 parallelism: int = 0,
-                 use_compiled_kernels: bool = True,
-                 use_csr_adjacency: bool = True) -> None:
+                 parallelism: int = 0) -> None:
         self.view = view
         self.default_timeout = default_timeout
         self.use_index_seek = use_index_seek
@@ -91,12 +88,6 @@ class CypherEngine:
         #: serial, N = up to N concurrent tasks (per-query override
         #: via QueryOptions.parallelism)
         self.parallelism = parallelism
-        #: run batch WHERE/projection through precompiled closure
-        #: kernels (off = interpreted evaluate(), the ablation knob)
-        self.use_compiled_kernels = use_compiled_kernels
-        #: promote the store's CSR adjacency snapshot to the default
-        #: read format for batch execution (lazily built per epoch)
-        self.use_csr_adjacency = use_csr_adjacency
         #: intra-query work spawner — ``callable(fn) -> handle`` on the
         #: serving pool; Frappe.serve() wires this to
         #: Executor.spawn_task (with pool_workers as the auto
@@ -172,24 +163,21 @@ class CypherEngine:
 
     def run(self, text: str,
             parameters: Mapping[str, Any] | None = None,
-            *deprecated: float | None,
+            *,
             timeout: float | None = None,
             options: QueryOptions | None = None) -> Result:
         """Execute Cypher text and materialize the result.
 
         ``options`` carries the structured knobs (timeout, max_rows,
         profile, parameters); explicit ``parameters=``/``timeout=``
-        keywords win over the corresponding option fields. Passing the
-        timeout positionally (the pre-``QueryOptions`` signature) still
-        works but emits a :class:`DeprecationWarning`.
+        keywords win over the corresponding option fields.
 
         Raises :class:`~repro.errors.QueryTimeoutError` when the time
         budget (from whichever source) is exceeded.
         """
-        timeout = self._shim_positional_timeout(deprecated, timeout)
-        # QueryOptions is the one knob surface: the legacy keyword and
-        # positional shims above fold into a single canonical options
-        # value, and everything below reads only `opts`
+        # QueryOptions is the one knob surface: the keywords fold into
+        # a single canonical options value, and everything below reads
+        # only `opts`
         opts = QueryOptions.resolve(options, parameters=parameters,
                                     timeout=timeout)
         parameters = opts.parameters
@@ -214,9 +202,6 @@ class CypherEngine:
         use_batch = mode == "batch" or \
             (mode == "auto" and batch_supported(query)
              and not self._route_to_rows(query, pinned, epoch))
-        compiled = opts.use_compiled_kernels
-        if compiled is None:
-            compiled = self.use_compiled_kernels
         parallelism = opts.parallelism
         if parallelism is None:
             parallelism = self.parallelism
@@ -238,7 +223,6 @@ class CypherEngine:
             profiler=profiler,
             use_reachability_rewrite=rewrite,
             use_cost_based_planner=self.use_cost_based_planner,
-            use_compiled_kernels=compiled,
             parallelism=parallelism if use_batch else 1,
             task_spawner=self.task_spawner,
             pattern_plans=self._pattern_plan_memo,
@@ -246,13 +230,6 @@ class CypherEngine:
         morsel_size = opts.morsel_size
         if morsel_size is None:
             morsel_size = self.morsel_size
-        if use_batch and self.use_csr_adjacency:
-            # batch kernels read bulk adjacency; promote the pinned
-            # store view's CSR snapshot to the default read format
-            # (lazy: rings are decoded into the CSR on first access)
-            enable_csr = getattr(pinned, "enable_csr", None)
-            if enable_csr is not None:
-                enable_csr()
         with self.obs.tracer.span("cypher.query", query=text):
             try:
                 if use_batch:
@@ -291,23 +268,6 @@ class CypherEngine:
         prefer = prefer_rows(query, pinned, self.use_index_seek)
         object.__setattr__(query, "_route_hint", (epoch, prefer))
         return prefer
-
-    @staticmethod
-    def _shim_positional_timeout(deprecated: tuple[Any, ...],
-                                 timeout: float | None) -> float | None:
-        if not deprecated:
-            return timeout
-        if len(deprecated) > 1:
-            raise TypeError("run() takes at most one positional "
-                            "timeout argument")
-        if timeout is not None:
-            raise TypeError("timeout passed both positionally and by "
-                            "keyword")
-        warnings.warn(
-            "passing the query timeout positionally is deprecated; "
-            "use timeout=... or options=QueryOptions(timeout=...)",
-            DeprecationWarning, stacklevel=3)
-        return deprecated[0]
 
     def explain(self, text: str) -> PlanDescription:
         """The structured execution plan, without running the query.

@@ -34,7 +34,6 @@ class ExecutionContext:
                  profiler: Any | None = None,
                  use_reachability_rewrite: bool = True,
                  use_cost_based_planner: bool = True,
-                 use_compiled_kernels: bool = True,
                  parallelism: int = 1,
                  task_spawner: Any | None = None,
                  pattern_plans: dict | None = None,
@@ -52,10 +51,6 @@ class ExecutionContext:
         #: cost the anchor/step order from graph statistics instead of
         #: the fixed bound > label > property heuristic
         self.use_cost_based_planner = use_cost_based_planner
-        #: run WHERE/projection expressions through the precompiled
-        #: closure kernels (off = the interpreted evaluate() baseline,
-        #: the E12 compiled-vs-interpreted ablation knob)
-        self.use_compiled_kernels = use_compiled_kernels
         #: morsel tasks the batch driver may run concurrently (1 =
         #: serial); resolved by the engine (0-auto already expanded)
         self.parallelism = parallelism
@@ -125,7 +120,6 @@ class ExecutionContext:
         clone.use_index_seek = self.use_index_seek
         clone.use_reachability_rewrite = self.use_reachability_rewrite
         clone.use_cost_based_planner = self.use_cost_based_planner
-        clone.use_compiled_kernels = self.use_compiled_kernels
         # a task never re-parallelizes: nested fan-out would oversubscribe
         # the shared pool and break the ordered-merge accounting
         clone.parallelism = 1
@@ -1042,19 +1036,6 @@ def literal_props(properties: tuple[tuple[str, ast.Expr], ...]):
     if all(isinstance(expr, ast.Literal) for _key, expr in properties):
         return tuple((key, expr.value) for key, expr in properties)
     return None
-
-
-def expr_kernel(expr: ast.Expr, ctx: ExecutionContext):
-    """The evaluator for *expr* under this context's kernel gate:
-    the compiled closure, or an interpreted shim for the ablation."""
-    if ctx.use_compiled_kernels:
-        return compile_expr(expr)
-
-    def interpreted(row: Mapping[str, Any],
-                    context: ExecutionContext) -> Any:
-        return evaluate(expr, row, context)
-
-    return interpreted
 
 
 def precompile_query(query: ast.Query) -> None:

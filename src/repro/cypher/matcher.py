@@ -354,14 +354,13 @@ def _expand_single(step: _Step, source: int, row: Mapping[str, Any],
                    used: frozenset[int], ctx: ExecutionContext,
                    ) -> Iterator[tuple[int, Any, frozenset[int]]]:
     types = step.rel.types or None
-    for edge_id in ctx.adjacency(source, step.direction, types):
+    for edge_id, neighbor in ctx.neighbors(source, step.direction, types):
         ctx.tick()
         if edge_id in used:
             continue
         if not _edge_props_ok(step.rel, edge_id, row, ctx):
             continue
-        yield (other_end(ctx.view, edge_id, source), EdgeRef(edge_id),
-               frozenset((edge_id,)))
+        yield neighbor, EdgeRef(edge_id), frozenset((edge_id,))
 
 
 def _expand_var_length(step: _Step, source: int, row: Mapping[str, Any],
@@ -380,13 +379,13 @@ def _expand_var_length(step: _Step, source: int, row: Mapping[str, Any],
         depth = len(path_edges)
         if max_hops is not None and depth >= max_hops:
             continue
-        for edge_id in ctx.adjacency(node_id, step.direction, types):
+        for edge_id, neighbor in ctx.neighbors(node_id, step.direction,
+                                               types):
             ctx.tick()
             if edge_id in path_edges or edge_id in used:
                 continue
             if not _edge_props_ok(rel, edge_id, row, ctx):
                 continue
-            neighbor = other_end(ctx.view, edge_id, node_id)
             new_path = path_edges + (edge_id,)
             if len(new_path) >= min_hops:
                 yield (neighbor,
@@ -424,12 +423,12 @@ def _expand_reachability(step: _Step, source: int,
         depth += 1
         next_frontier: list[int] = []
         for node_id in frontier:
-            for edge_id in ctx.adjacency(node_id, step.direction, types):
+            for edge_id, neighbor in ctx.neighbors(
+                    node_id, step.direction, types):
                 ctx.tick()
                 if rel.properties and \
                         not _edge_props_ok(rel, edge_id, row, ctx):
                     continue
-                neighbor = other_end(ctx.view, edge_id, node_id)
                 if neighbor not in yielded:
                     # the source itself is yielded only when re-reached
                     # through an edge (a cycle), matching enumeration

@@ -56,11 +56,6 @@ class QueryOptions:
         morsel tasks concurrently on the shared Executor pool. Output
         rows, row order and PROFILE db-hit counts are identical at
         every setting.
-    use_compiled_kernels
-        Tri-state override of compiled expression kernels in batch
-        execution: ``None`` inherits the engine setting (on), ``False``
-        falls back to the interpreted ``evaluate()`` walker — the
-        compiled-vs-interpreted ablation knob.
     """
 
     timeout: float | None = None
@@ -71,7 +66,6 @@ class QueryOptions:
     execution_mode: str | None = None
     morsel_size: int | None = None
     parallelism: int | None = None
-    use_compiled_kernels: bool | None = None
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Collection, Iterator
 
-from repro.graphdb.view import Direction, GraphView, neighbors, other_end
+from repro.graphdb.view import (Direction, GraphView, neighbor_pairs,
+                                neighbors)
 
 
 def reachable_nodes(view: GraphView, start: int,
@@ -35,10 +36,10 @@ def reachable_nodes(view: GraphView, start: int,
         node_id, depth = frontier.popleft()
         if max_depth is not None and depth >= max_depth:
             continue
-        for edge_id in view.edges_of(node_id, direction, types):
+        for _edge_id, neighbor in neighbor_pairs(
+                view, node_id, direction, types):
             if expansions is not None:
                 expansions.inc()
-            neighbor = other_end(view, edge_id, node_id)
             if neighbor not in visited:
                 visited.add(neighbor)
                 frontier.append((neighbor, depth + 1))
@@ -62,8 +63,8 @@ def is_reachable(view: GraphView, source: int, target: int,
         node_id, depth = frontier.popleft()
         if max_depth is not None and depth >= max_depth:
             continue
-        for edge_id in view.edges_of(node_id, direction, types):
-            neighbor = other_end(view, edge_id, node_id)
+        for _edge_id, neighbor in neighbor_pairs(
+                view, node_id, direction, types):
             if neighbor == target:
                 return True
             if neighbor not in visited:
@@ -103,8 +104,8 @@ def shortest_path(view: GraphView, source: int, target: int,
         next_frontier = []
         meeting = None
         for node_id in frontier:
-            for edge_id in view.edges_of(node_id, step_direction, types):
-                neighbor = other_end(view, edge_id, node_id)
+            for edge_id, neighbor in neighbor_pairs(
+                    view, node_id, step_direction, types):
                 if neighbor in parents:
                     continue
                 parents[neighbor] = (node_id, edge_id)
@@ -155,10 +156,10 @@ def shortest_path_with_edges(
     while frontier:
         next_frontier = []
         for node_id in frontier:
-            for edge_id in view.edges_of(node_id, direction, types):
+            for edge_id, neighbor in neighbor_pairs(
+                    view, node_id, direction, types):
                 if edge_filter is not None and not edge_filter(edge_id):
                     continue
-                neighbor = other_end(view, edge_id, node_id)
                 if neighbor in visited:
                     continue
                 visited.add(neighbor)
@@ -200,10 +201,10 @@ def all_shortest_paths(
         depth += 1
         next_frontier: list[int] = []
         for node_id in frontier:
-            for edge_id in view.edges_of(node_id, direction, types):
+            for edge_id, neighbor in neighbor_pairs(
+                    view, node_id, direction, types):
                 if edge_filter is not None and not edge_filter(edge_id):
                     continue
-                neighbor = other_end(view, edge_id, node_id)
                 known_depth = depth_of.get(neighbor)
                 if known_depth is None:
                     depth_of[neighbor] = depth
@@ -257,10 +258,10 @@ def shortest_path_dag(
         depth += 1
         next_frontier: list[int] = []
         for node_id in frontier:
-            for edge_id in view.edges_of(node_id, direction, types):
+            for edge_id, neighbor in neighbor_pairs(
+                    view, node_id, direction, types):
                 if edge_filter is not None and not edge_filter(edge_id):
                     continue
-                neighbor = other_end(view, edge_id, node_id)
                 known_depth = depth_of.get(neighbor)
                 if known_depth is None:
                     depth_of[neighbor] = depth
@@ -316,8 +317,8 @@ def all_paths(view: GraphView, source: int, target: int,
             continue
         if len(path) > max_depth:
             continue
-        for edge_id in view.edges_of(node_id, direction, types):
-            neighbor = other_end(view, edge_id, node_id)
+        for _edge_id, neighbor in neighbor_pairs(
+                view, node_id, direction, types):
             if neighbor in path and neighbor != target:
                 continue
             stack.append((neighbor, path + [neighbor]))
@@ -391,9 +392,9 @@ def strongly_connected_components(
 
 def _has_self_loop(view: GraphView, node_id: int,
                    types: Collection[str] | None) -> bool:
-    return any(other_end(view, edge_id, node_id) == node_id
-               for edge_id in view.edges_of(node_id, Direction.OUT,
-                                            types))
+    return any(neighbor == node_id
+               for _edge_id, neighbor in neighbor_pairs(
+                   view, node_id, Direction.OUT, types))
 
 
 def weakly_connected_components(view: GraphView) -> list[set[int]]:

@@ -221,44 +221,6 @@ class CsrReader:
                 self._buffer = buffer
         return buffer
 
-    def _offsets_view(self, key: tuple[int, int],
-                      entry: dict[str, Any]) -> Any:
-        view = self._views.get(key)
-        if view is None:
-            view = self._offsets.read(entry["offsets_offset"],
-                                      4 * (entry["span"] + 1))
-            self._views[key] = view
-        return view
-
-    def _run(self, key: tuple[int, int], entry: dict[str, Any],
-             node_id: int) -> list[tuple[int, int]]:
-        index = node_id - entry["base"]
-        if index < 0 or index >= entry["span"]:
-            return []
-        view = self._offsets_view(key, entry)
-        start, end = struct.unpack_from("<II", view, 4 * index)
-        if start == end:
-            return []
-        if end < start or end > entry["payload_bytes"]:
-            raise StoreFormatError(
-                f"CSR offsets corrupt for node {node_id} in segment "
-                f"{key}: [{start}, {end})")
-        run = self._payload.read(entry["payload_offset"] + start,
-                                 end - start)
-        if type(run) is not bytes:  # memoryview from the mmap path
-            run = bytes(run)
-        pairs, _consumed = records.decode_pair_run(run)
-        return pairs
-
-    def pairs(self, node_id: int, direction: int,
-              token: int) -> list[tuple[int, int]]:
-        """(edge id, neighbor id) run for one (node, direction, type)."""
-        key = (direction, token)
-        entry = self._segments.get(key)
-        if entry is None:
-            return []
-        return self._run(key, entry, node_id)
-
     def groups(self, node_id: int, direction: int,
                wanted: "set[int] | frozenset[int] | None" = None,
                ) -> list[tuple[int, list[tuple[int, int]]]]:

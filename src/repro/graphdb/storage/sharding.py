@@ -622,14 +622,6 @@ class ShardedStore:
         for shard in self.shards:
             shard.evict_caches()
 
-    def snapshot_adjacency(self) -> None:
-        for shard in self.shards:
-            shard.snapshot_adjacency()
-
-    def enable_csr(self) -> None:
-        for shard in self.shards:
-            shard.enable_csr()
-
     def close(self) -> None:
         for shard in self.shards:
             shard.close()

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 import shutil
 import struct
@@ -1329,15 +1330,42 @@ class StoreIndexes:
 DEFAULT_RECORD_CACHE_CAPACITY = 262_144
 
 
+_LOG = logging.getLogger("repro.storage")
+
+
+def _csr_open_check(directory: str,
+                    descriptor: dict[str, Any]) -> str | None:
+    """Why a store's compiled CSR cannot be served, or None when the
+    descriptor and both file sizes agree (O(1): contents are fsck's)."""
+    for name, key in ((CSR_FILE, "payload_bytes"),
+                      (CSR_OFFSETS_FILE, "offsets_bytes")):
+        try:
+            expected = descriptor[key]
+            actual = os.path.getsize(os.path.join(directory, name))
+        except (KeyError, TypeError):
+            return f"csr descriptor lacks {key}"
+        except OSError as error:
+            return f"{name} unreadable ({error.strerror})"
+        if actual != expected:
+            return f"{name} is {actual} bytes, descriptor says {expected}"
+    return None
+
+
 class _FIFOCache(dict):
     """Insertion-order-bounded dict for decoded records.
+
+    A :class:`StoreGraph` holds six: node records, rel records,
+    adjacency blocks, node and edge property blocks, and resolved
+    ``(edge, neighbour)`` lists.  They are the only decoded-object
+    state between a query and the page cache, and
+    :meth:`StoreGraph.evict_caches` empties all of them.
 
     FIFO rather than LRU on purpose: get stays a plain dict lookup (no
     move-to-end bookkeeping on the hottest path in the codebase), and
     sequential scans — the access pattern that overflows the cache in
     the first place — gain nothing from recency ordering. A dict
-    subclass so existing callers (and benchmarks that poke
-    ``_node_cache`` directly) keep their ``clear()``/``len()`` idioms.
+    subclass so callers (and benchmarks that poke ``_node_cache``
+    directly) keep their ``clear()``/``len()`` idioms.
     """
 
     __slots__ = ("capacity",)
@@ -1418,30 +1446,30 @@ class StoreGraph:
         # compiled read structures (format 3): per-(direction, type)
         # CSR adjacency segments and the string dictionary page.
         # Anything short of a fully consistent descriptor/file pair
-        # falls back to the record-decode path silently — a damaged or
-        # absent compiled layer costs speed, never answers.
+        # falls back to the record-decode path — a damaged or absent
+        # compiled layer costs speed, never answers — and says so once
+        # (log line + store.csr_fallbacks); --no-csr is a choice, not
+        # a fault, and stays quiet.
         self.format_version: int = metadata.get("version", FORMAT_VERSION)
         self._csr_reader: csr_mod.CsrReader | None = None
         self._csr_payload_file: PagedFile | None = None
         self._csr_offsets_file: PagedFile | None = None
+        #: the open-time CSR check that failed, None when none did
+        self.csr_fallback: str | None = None
         csr_descriptor = metadata.get("csr")
         if use_compiled_csr and csr_descriptor is not None:
-            payload_path = os.path.join(directory, CSR_FILE)
-            offsets_path = os.path.join(directory, CSR_OFFSETS_FILE)
-            try:
-                sizes_ok = (
-                    os.path.getsize(payload_path)
-                    == csr_descriptor["payload_bytes"]
-                    and os.path.getsize(offsets_path)
-                    == csr_descriptor["offsets_bytes"])
-            except (OSError, KeyError, TypeError):
-                sizes_ok = False
-            if sizes_ok:
+            self.csr_fallback = _csr_open_check(directory, csr_descriptor)
+            if self.csr_fallback is None:
                 self._csr_payload_file = paged(CSR_FILE)
                 self._csr_offsets_file = paged(CSR_OFFSETS_FILE)
                 self._csr_reader = csr_mod.CsrReader(
                     self._csr_payload_file, self._csr_offsets_file,
                     csr_descriptor)
+            else:
+                _LOG.warning(
+                    "store %s: compiled CSR unusable (%s); serving "
+                    "adjacency from record decode", directory,
+                    self.csr_fallback)
         self._dict_file: PagedFile | None = None
         self._dict_buffer: Any = None
         self._dict_values: list[str | None] | None = None
@@ -1467,21 +1495,6 @@ class StoreGraph:
         self._neighbor_pair_cache: dict[
             tuple[int, Any, tuple[str, ...] | None],
             list[tuple[int, int]]] = _FIFOCache(capacity)
-        # (source, target, type token) per edge, filled as a side
-        # effect of compiled CSR run decodes: an OUT run pins the edge
-        # as (node, neighbor), an IN run as (neighbor, node), so
-        # other_end/edge_type resolution never touches the rel record
-        # for edges reached through compiled adjacency.  Strictly a
-        # fast path — a miss falls through to _live_rel, and the
-        # record path never writes it, so the two paths stay
-        # row-identical.
-        self._endpoint_memo: dict[int, tuple[int, int, int]] = \
-            _FIFOCache(capacity)
-        #: CSR-style adjacency snapshot (see snapshot_adjacency /
-        #: enable_csr); _csr_complete marks an eager full build, where
-        #: a missing key means a dead node rather than not-yet-decoded
-        self._csr: dict[int, tuple[Any, Any]] | None = None
-        self._csr_complete = False
         # planner statistics: exact counts when the writer recorded
         # them, estimates (uniform edge-type split) for older stores.
         label_counts = metadata.get("label_counts")
@@ -1516,12 +1529,18 @@ class StoreGraph:
         """(Re)bind the whole read path — page cache, index reader and
         the decoded-object caches — to one metrics registry, so a
         single snapshot covers every layer (``Frappe.counters()``)."""
+        first_attach = registry is not getattr(self, "metrics", None)
         self.metrics = registry
         self.page_cache.attach_metrics(registry)
         self._indexes.attach_metrics(registry)
         self._object_hit_counter = registry.counter(
             "store.object_cache.hits")
         self._fault_counter = registry.counter("store.record_faults")
+        if self.csr_fallback is not None and first_attach:
+            # an open-time event, not traffic: every registry that
+            # watches this store sees it once (a ShardedStore re-binds
+            # its shards to the registry they already have)
+            registry.counter("store.csr_fallbacks").inc()
 
     # -- cache control ----------------------------------------------------------
 
@@ -1534,13 +1553,6 @@ class StoreGraph:
         self._node_prop_cache.clear()
         self._edge_prop_cache.clear()
         self._neighbor_pair_cache.clear()
-        self._endpoint_memo.clear()
-        # a lazily-enabled CSR empties but stays enabled (entries are
-        # rebuilt on access, so cold runs stay honest); an eager
-        # snapshot drops entirely, as it always did
-        self._csr = {} if self._csr is not None \
-            and not self._csr_complete else None
-        self._csr_complete = False
         # compiled-layer caches: memoized index universe, CSR offset
         # views, decoded dictionary entries
         self._indexes.evict_caches()
@@ -1548,44 +1560,6 @@ class StoreGraph:
             self._csr_reader.evict()
         self._dict_buffer = None
         self._dict_values = None
-
-    def snapshot_adjacency(self) -> None:
-        """Materialize the whole adjacency store into one in-memory
-        snapshot (Neo4j would call this a relationship-group cache;
-        the layout is CSR in spirit: every node's typed edge groups,
-        decoded once, contiguous per node).
-
-        Subsequent ``edges_of``/``degree`` calls skip the record and
-        page layers entirely. :meth:`evict_caches` drops the snapshot,
-        so cold-run measurements stay honest. Opt-in because it holds
-        O(E) memory.
-        """
-        snapshot: dict[int, tuple[Any, Any]] = {}
-        for node_id in range(self._high_node):
-            record = self._node_record(node_id)
-            if not record[0]:
-                continue
-            block = self._adj.read(record[3], record[4])
-            snapshot[node_id] = records.decode_adjacency(block)
-        self._csr = snapshot
-        self._csr_complete = True
-
-    def enable_csr(self) -> None:
-        """Promote the CSR snapshot to the default adjacency format,
-        built *lazily*: each node's edge groups are decoded on first
-        access and kept for the store's lifetime (unbounded, unlike
-        the FIFO ``_adj_cache``), so batch execution gets
-        snapshot-speed adjacency on warm nodes without
-        :meth:`snapshot_adjacency`'s eager full scan on cold stores.
-
-        Idempotent; a no-op when an eager snapshot is already in
-        place. The engine calls this per batch query (cheap after the
-        first), so eviction for a cold benchmark run re-enables on the
-        next query.
-        """
-        if self._csr is None:
-            self._csr = {}
-            self._csr_complete = False
 
     def close(self) -> None:
         """Release every underlying file; safe to call twice."""
@@ -1693,21 +1667,12 @@ class StoreGraph:
     # -- GraphView: edges -------------------------------------------------------------
 
     def edge_source(self, edge_id: int) -> int:
-        ends = self._endpoint_memo.get(edge_id)
-        if ends is not None:
-            return ends[0]
         return self._live_rel(edge_id)[2]
 
     def edge_target(self, edge_id: int) -> int:
-        ends = self._endpoint_memo.get(edge_id)
-        if ends is not None:
-            return ends[1]
         return self._live_rel(edge_id)[3]
 
     def edge_type(self, edge_id: int) -> str:
-        ends = self._endpoint_memo.get(edge_id)
-        if ends is not None:
-            return self._type_tokens[ends[2]]
         return self._type_tokens[self._live_rel(edge_id)[1]]
 
     def edge_properties(self, edge_id: int) -> dict[str, Any]:
@@ -1841,19 +1806,14 @@ class StoreGraph:
             if types is not None:
                 wanted = {self._type_token_by_name[name] for name in types
                           if name in self._type_token_by_name}
-            memo = self._endpoint_memo
             pairs = []
             if direction in (Direction.OUT, Direction.BOTH):
-                for token, run in reader.groups(node_id, csr_mod.OUT,
-                                                wanted):
-                    for edge_id, neighbor in run:
-                        memo[edge_id] = (node_id, neighbor, token)
+                for _token, run in reader.groups(node_id, csr_mod.OUT,
+                                                 wanted):
                     pairs.extend(run)
             if direction in (Direction.IN, Direction.BOTH):
-                for token, run in reader.groups(node_id, csr_mod.IN,
-                                                wanted):
-                    for edge_id, neighbor in run:
-                        memo[edge_id] = (neighbor, node_id, token)
+                for _token, run in reader.groups(node_id, csr_mod.IN,
+                                                 wanted):
                     pairs.extend(run)
             if not pairs:
                 self._live_node(node_id)  # dead ids must still raise
@@ -1914,19 +1874,6 @@ class StoreGraph:
         return record
 
     def _adjacency(self, node_id: int) -> tuple[Any, Any]:
-        csr = self._csr
-        if csr is not None:
-            groups = csr.get(node_id)
-            if groups is not None:
-                return groups
-            if self._csr_complete:
-                # eager snapshot: absence means the node is dead
-                raise NodeNotFoundError(node_id)
-            # lazy CSR: decode once, keep for the store's lifetime
-            self._fault_counter.inc()
-            groups = self._decode_adjacency_groups(node_id)
-            csr[node_id] = groups
-            return groups
         cached = self._adj_cache.get(node_id)
         if cached is None:
             self._fault_counter.inc()

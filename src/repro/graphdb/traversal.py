@@ -22,7 +22,7 @@ import enum
 from collections import deque
 from typing import Callable, Collection, Iterator
 
-from repro.graphdb.view import Direction, GraphView, other_end
+from repro.graphdb.view import Direction, GraphView, neighbor_pairs
 
 
 class Uniqueness(enum.Enum):
@@ -233,9 +233,8 @@ class TraversalDescription:
                 node_id: int) -> Iterator[tuple[int, int]]:
         filters = self._filters or [RelationshipFilter(None, Direction.BOTH)]
         for rel_filter in filters:
-            for edge_id in view.edges_of(node_id, rel_filter.direction,
-                                         rel_filter.types):
-                yield edge_id, other_end(view, edge_id, node_id)
+            yield from neighbor_pairs(view, node_id, rel_filter.direction,
+                                      rel_filter.types)
 
     def _admit(self, path: Path, edge_id: int, next_node: int,
                seen_nodes: set[int], seen_edges: set[int]) -> bool:

@@ -137,30 +137,30 @@ def other_end(view: GraphView, edge_id: int, node_id: int) -> int:
     return view.edge_target(edge_id)
 
 
+def neighbor_pairs(view: GraphView, node_id: int,
+                   direction: Direction = Direction.BOTH,
+                   types: Collection[str] | None = None,
+                   ) -> Collection[tuple[int, int]]:
+    """``(edge_id, other_end)`` pairs incident to *node_id*, in
+    ``edges_of`` order.
+
+    What every native traversal reads: a view that already holds the
+    neighbour next to the edge (``neighbors_of`` — the disk store's
+    compiled runs) hands the pairs over as stored, so no edge record
+    is decoded just to learn the far endpoint; any other view gets the
+    reference semantics, :func:`other_end` applied edge by edge.
+    """
+    bulk = getattr(view, "neighbors_of", None)
+    if bulk is not None:
+        return bulk(node_id, direction, types)
+    return [(edge_id, other_end(view, edge_id, node_id))
+            for edge_id in view.edges_of(node_id, direction, types)]
+
+
 def neighbors(view: GraphView, node_id: int,
               direction: Direction = Direction.BOTH,
               types: Collection[str] | None = None) -> Iterator[int]:
     """Neighbor node ids of *node_id* (with multiplicity, as Neo4j does)."""
-    for edge_id in view.edges_of(node_id, direction, types):
-        yield other_end(view, edge_id, node_id)
-
-
-def resolve_neighbors(view: GraphView, node_id: int,
-                      edge_ids: Collection[int],
-                      ) -> list[tuple[int, int]]:
-    """``(edge_id, other_end)`` pairs for a pre-fetched adjacency list.
-
-    The batch executor resolves whole adjacency lists at once; graph
-    implementations may expose a ``resolve_neighbors`` method with a
-    bulk fast path over their own edge storage. This fallback is the
-    reference semantics: :func:`other_end` applied edge by edge.
-    """
-    resolver = getattr(view, "resolve_neighbors", None)
-    if resolver is not None:
-        return resolver(node_id, edge_ids)
-    pairs = []
-    for edge_id in edge_ids:
-        source = view.edge_source(edge_id)
-        pairs.append((edge_id, source if source != node_id
-                      else view.edge_target(edge_id)))
-    return pairs
+    for _edge_id, neighbor in neighbor_pairs(view, node_id, direction,
+                                             types):
+        yield neighbor

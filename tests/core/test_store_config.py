@@ -59,11 +59,18 @@ class TestWireForm:
 
     def test_to_dict_drops_page_cache(self):
         config = StoreConfig(page_cache=PageCache(capacity_pages=4))
-        assert "page_cache" not in config.to_dict()
+        # what a replica worker receives: every field but the
+        # process-local cache
+        assert sorted(config.to_dict()) == [
+            "default_timeout", "execution_mode", "mmap", "morsel_size",
+            "parallelism", "use_compiled_csr", "use_cost_based_planner",
+            "use_reachability_rewrite"]
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="mmaped"):
-            StoreConfig.from_dict({"mmaped": True})
+    @pytest.mark.parametrize("key", ["mmaped", "use_csr_adjacency",
+                                     "use_compiled_kernels"])
+    def test_from_dict_rejects_unknown_keys(self, key):
+        with pytest.raises(ValueError, match=key):
+            StoreConfig.from_dict({key: True})
 
     def test_picklable_without_explicit_cache(self):
         config = StoreConfig(mmap=True, morsel_size=256)
@@ -91,41 +98,26 @@ class TestOpenWithConfig:
                 ["alpha", "beta", "gamma"]
 
 
-class TestDeprecationShim:
-    def test_legacy_keyword_warns_and_works(self, store_dir):
-        with pytest.warns(DeprecationWarning, match="StoreConfig"):
-            frappe = Frappe.open(store_dir, mmap=True)
-        with frappe:
-            assert len(frappe.query(QUERY)) == 3
+class TestLegacyOpenArgumentsAreGone:
+    """``config=`` is the only spelling: the pre-``StoreConfig``
+    keywords and positionals are a plain ``TypeError``."""
 
-    def test_legacy_positional_page_cache(self, store_dir):
+    @pytest.mark.parametrize("legacy", [
+        {"mmap": True}, {"execution_mode": "rows"}, {"morsel_size": 8},
+        {"default_timeout": 1.0}, {"page_cache": None},
+        {"mmaped": True},
+    ])
+    def test_legacy_keyword_is_a_type_error(self, store_dir, legacy):
+        with pytest.raises(TypeError):
+            Frappe.open(store_dir, **legacy)
+
+    def test_positional_page_cache_is_a_type_error(self, store_dir):
+        with pytest.raises(TypeError):
+            Frappe.open(store_dir, PageCache(capacity_pages=64))
+
+    def test_explicit_page_cache_rides_on_the_config(self, store_dir):
         cache = PageCache(capacity_pages=64)
-        with pytest.warns(DeprecationWarning):
-            frappe = Frappe.open(store_dir, cache)
-        with frappe:
+        with Frappe.open(store_dir,
+                         config=StoreConfig(page_cache=cache)) as frappe:
             frappe.query(QUERY)
             assert cache.stats.hits + cache.stats.misses > 0
-
-    def test_legacy_execution_mode_kwarg(self, store_dir):
-        with pytest.warns(DeprecationWarning):
-            frappe = Frappe.open(store_dir, execution_mode="rows")
-        with frappe:
-            assert frappe.query(QUERY).stats.execution_mode == "rows"
-
-    def test_config_plus_legacy_is_an_error(self, store_dir):
-        with pytest.raises(TypeError, match="config="):
-            Frappe.open(store_dir, mmap=True,
-                        config=StoreConfig(mmap=True))
-
-    def test_unknown_kwarg_is_an_error(self, store_dir):
-        with pytest.raises(TypeError, match="mmaped"):
-            Frappe.open(store_dir, mmaped=True)
-
-    def test_too_many_positionals_is_an_error(self, store_dir):
-        with pytest.raises(TypeError, match="positional"):
-            Frappe.open(store_dir, None, None, True)
-
-    def test_duplicate_positional_and_keyword(self, store_dir):
-        cache = PageCache(capacity_pages=8)
-        with pytest.raises(TypeError, match="page_cache"):
-            Frappe.open(store_dir, cache, page_cache=cache)

@@ -3,18 +3,17 @@
 WHERE/projection expressions are lowered to closure kernels at prepare
 time and cached on the planned AST (which the plan cache owns), so a
 cached plan never recompiles.  The kernels must be bit-for-bit
-observationally identical to the interpreted ``evaluate()`` baseline —
-rows, order, three-valued WHERE semantics, error types and profiled
-db-hit totals — because ``use_compiled_kernels=False`` is the
-compiled-vs-interpreted ablation and any drift would poison it.
+observationally identical to the interpreted ``evaluate()`` the row
+engine runs — rows, order, three-valued WHERE semantics, error types
+and profiled db-hit totals — so every case compares batch execution
+against ``execution_mode="rows"``.
 """
 
 import pytest
 
 from repro.cypher import CypherEngine, QueryOptions, parse
 from repro.cypher.evaluator import (ExecutionContext, compile_expr,
-                                    evaluate, expr_kernel,
-                                    precompile_query)
+                                    evaluate, precompile_query)
 from repro.errors import CypherSemanticError
 from repro.graphdb import PropertyGraph
 
@@ -78,64 +77,51 @@ RETURN_FRAGMENTS = [
 ]
 
 
+def _batch_and_rows(engine, text):
+    """One query under compiled batch execution and under the row
+    engine (the interpreted ``evaluate()`` reference), both profiled."""
+    return (engine.run(text, options=QueryOptions(
+                execution_mode="batch", profile=True)),
+            engine.run(text, options=QueryOptions(
+                execution_mode="rows", profile=True)))
+
+
 class TestKernelInterpreterParity:
     @pytest.mark.parametrize("where", WHERE_FRAGMENTS)
     def test_where_parity(self, engine, where):
-        text = (f"MATCH (n:function) WHERE {where} "
-                "RETURN n.short_name ORDER BY n.short_name")
-        compiled = engine.run(text, options=QueryOptions(
-            execution_mode="batch", use_compiled_kernels=True,
-            profile=True))
-        interpreted = engine.run(text, options=QueryOptions(
-            execution_mode="batch", use_compiled_kernels=False,
-            profile=True))
-        rows = engine.run(text, options=QueryOptions(
-            execution_mode="rows", profile=True))
-        assert compiled.rows == interpreted.rows == rows.rows, where
-        assert compiled.stats.db_hits == interpreted.stats.db_hits, \
-            where
+        compiled, rows = _batch_and_rows(
+            engine, f"MATCH (n:function) WHERE {where} "
+                    "RETURN n.short_name ORDER BY n.short_name")
+        assert compiled.rows == rows.rows, where
+        assert compiled.stats.db_hits == rows.stats.db_hits, where
 
     @pytest.mark.parametrize("returns", RETURN_FRAGMENTS)
     def test_projection_parity(self, engine, returns):
-        text = f"MATCH (n:function) RETURN {returns}"
-        compiled = engine.run(text, options=QueryOptions(
-            execution_mode="batch", use_compiled_kernels=True))
-        interpreted = engine.run(text, options=QueryOptions(
-            execution_mode="batch", use_compiled_kernels=False))
-        assert compiled.rows == interpreted.rows, returns
+        compiled, rows = _batch_and_rows(
+            engine, f"MATCH (n:function) RETURN {returns}")
+        assert compiled.rows == rows.rows, returns
 
     def test_pattern_property_parity(self, engine):
-        text = ("MATCH (n:function {size: 2})-[r:calls]->(m) "
-                "RETURN n.short_name, m.short_name "
-                "ORDER BY n.short_name, m.short_name")
-        compiled = engine.run(text, options=QueryOptions(
-            execution_mode="batch", use_compiled_kernels=True,
-            profile=True))
-        interpreted = engine.run(text, options=QueryOptions(
-            execution_mode="batch", use_compiled_kernels=False,
-            profile=True))
-        assert compiled.rows == interpreted.rows
-        assert compiled.stats.db_hits == interpreted.stats.db_hits
+        compiled, rows = _batch_and_rows(
+            engine, "MATCH (n:function {size: 2})-[r:calls]->(m) "
+                    "RETURN n.short_name, m.short_name "
+                    "ORDER BY n.short_name, m.short_name")
+        assert compiled.rows == rows.rows
+        assert compiled.stats.db_hits == rows.stats.db_hits
 
     def test_edge_property_parity(self, engine):
-        text = ("MATCH (n)-[r:calls {use_start_line: 4}]->(m) "
-                "RETURN n.short_name, m.short_name")
-        compiled = engine.run(text, options=QueryOptions(
-            execution_mode="batch", use_compiled_kernels=True,
-            profile=True))
-        interpreted = engine.run(text, options=QueryOptions(
-            execution_mode="batch", use_compiled_kernels=False,
-            profile=True))
-        assert compiled.rows == interpreted.rows
-        assert compiled.stats.db_hits == interpreted.stats.db_hits
+        compiled, rows = _batch_and_rows(
+            engine, "MATCH (n)-[r:calls {use_start_line: 4}]->(m) "
+                    "RETURN n.short_name, m.short_name")
+        assert compiled.rows == rows.rows
+        assert compiled.stats.db_hits == rows.stats.db_hits
 
     def test_missing_parameter_error_parity(self, engine):
         text = "MATCH (n:function) WHERE n.size = $missing RETURN n"
-        for use_kernels in (True, False):
+        for mode in ("batch", "rows"):
             with pytest.raises(CypherSemanticError):
                 engine.run(text, options=QueryOptions(
-                    execution_mode="batch",
-                    use_compiled_kernels=use_kernels))
+                    execution_mode=mode))
 
 
 class TestKernelMachinery:
@@ -163,18 +149,6 @@ class TestKernelMachinery:
                     {"n": {}}):
             assert kernel(row, ctx) == evaluate(predicate, row, ctx)
 
-    def test_ablation_gate_returns_interpreted_shim(self, graph):
-        predicate = _where_predicate(
-            "MATCH (n) WHERE n.size > 1 RETURN n")
-        off = ExecutionContext(graph, {}, None,
-                               use_compiled_kernels=False)
-        on = ExecutionContext(graph, {}, None,
-                              use_compiled_kernels=True)
-        assert expr_kernel(predicate, on) is compile_expr(predicate)
-        shim = expr_kernel(predicate, off)
-        assert shim is not compile_expr(predicate)
-        assert shim({"n": {"size": 2}}, off) is True
-
     def test_engine_prepare_precompiles(self, engine):
         text = "MATCH (n:function) WHERE n.size > 1 RETURN n.size"
         prepared = engine.prepare(text)
@@ -185,12 +159,3 @@ class TestKernelMachinery:
         assert predicates
         assert all(getattr(p, "_compiled_kernel", None) is not None
                    for p in predicates)
-
-    def test_engine_level_ablation_flag(self, graph):
-        baseline = CypherEngine(graph).run(
-            "MATCH (n:function) WHERE n.size > 0 RETURN n.short_name")
-        ablated_engine = CypherEngine(graph,
-                                      use_compiled_kernels=False)
-        ablated = ablated_engine.run(
-            "MATCH (n:function) WHERE n.size > 0 RETURN n.short_name")
-        assert ablated.rows == baseline.rows

@@ -13,6 +13,7 @@ Stores are written to ``tempfile.mkdtemp`` (not ``tmp_path``) because
 hypothesis re-runs the test body many times per fixture instantiation.
 """
 
+import os
 import re
 import shutil
 import tempfile
@@ -23,8 +24,10 @@ from hypothesis import assume, given, settings
 from repro.core.config import StoreConfig
 from repro.core.frappe import Frappe
 from repro.cypher import QueryOptions
-from repro.graphdb import PropertyGraph
-from repro.graphdb.storage import GraphStore
+from repro.graphdb import Direction, PropertyGraph
+from repro.graphdb.storage import GraphStore, ShardedStore, split_store
+from repro.graphdb.storage import store as store_mod
+from repro.graphdb.view import neighbor_pairs, other_end
 
 _NAMES = ["alpha", "beta", "gamma"]
 _EDGE_TYPES = ["calls", "reads", "writes"]
@@ -107,6 +110,26 @@ def run_matrix(graph, text, mode):
         shutil.rmtree(directory, ignore_errors=True)
 
 
+def _truncate_csr(directory):
+    """Tear the compiled payload so open refuses it (size check)."""
+    path = os.path.join(directory, store_mod.CSR_FILE)
+    with open(path, "r+b") as handle:
+        handle.truncate(max(0, handle.seek(0, 2) - 5))
+
+
+def _plant_subtrees(graph):
+    """Hang the drawn nodes under two top-level directories, so a
+    subtree split puts them on different shards and the drawn edges
+    cross the boundary."""
+    drawn = list(graph.node_ids())
+    root = graph.add_node("directory", short_name="linux")
+    for half in range(2):
+        subtree = graph.add_node("directory", short_name=f"sub{half}")
+        graph.add_edge(root, subtree, "dir_contains")
+        for node_id in drawn[half::2]:
+            graph.add_edge(subtree, node_id, "dir_contains")
+
+
 class TestCompiledCsrEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(graph=stored_graphs(), query=traversal_queries())
@@ -137,8 +160,6 @@ class TestCompiledCsrEquivalence:
     def test_damaged_csr_answers_from_records(self, graph, query):
         """A torn compiled segment must never change an answer: the
         reader refuses it at open and the record path serves."""
-        import os
-        from repro.graphdb.storage import store as store_mod
         assume(graph.edge_count() > 0)  # else the CSR payload is empty
         text, mode = query
         directory = tempfile.mkdtemp(prefix="csr-equiv-")
@@ -148,9 +169,7 @@ class TestCompiledCsrEquivalence:
                     use_compiled_csr=False)) as frappe:
                 want = frappe.query(text, options=QueryOptions(
                     execution_mode=mode)).rows
-            path = os.path.join(directory, store_mod.CSR_FILE)
-            with open(path, "r+b") as handle:
-                handle.truncate(max(0, handle.seek(0, 2) - 5))
+            _truncate_csr(directory)
             with Frappe.open(directory) as frappe:
                 assert frappe.view._csr_reader is None
                 got = frappe.query(text, options=QueryOptions(
@@ -158,3 +177,50 @@ class TestCompiledCsrEquivalence:
             assert got == want
         finally:
             shutil.rmtree(directory, ignore_errors=True)
+
+    @settings(max_examples=15, deadline=None)
+    @given(graph=stored_graphs(max_nodes=6))
+    def test_neighbor_pairs_identical_on_every_view(self, graph):
+        """What ``algo``/``Traversal`` read: on every view type the
+        pairs are that view's ``edges_of`` order with ``other_end``
+        applied, every store serves one order, and the in-memory
+        graph holds the same pairs."""
+        _plant_subtrees(graph)
+        directory = tempfile.mkdtemp(prefix="csr-equiv-")
+        damaged = directory + "-damaged"
+        shards = directory + "-shards"
+        stores = []
+        try:
+            GraphStore.write(graph, directory)
+            split_store(directory, shards, 2)
+            shutil.copytree(directory, damaged)
+            _truncate_csr(damaged)
+            stores = [GraphStore.open(directory, use_compiled_csr=False),
+                      GraphStore.open(directory),
+                      GraphStore.open(damaged),
+                      ShardedStore(shards)]
+            assert stores[1]._csr_reader is not None
+            assert stores[2]._csr_reader is None
+            assert len({stores[3].node_owner(node_id)
+                        for node_id in graph.node_ids()}) == 2
+            for node_id in graph.node_ids():
+                for direction in Direction:
+                    for types in (None, ("calls",), ("reads", "calls"),
+                                  ("dir_contains",), ("absent",)):
+                        observed = []
+                        for view in [graph] + stores:
+                            pairs = list(neighbor_pairs(
+                                view, node_id, direction, types))
+                            assert pairs == [
+                                (edge, other_end(view, edge, node_id))
+                                for edge in view.edges_of(
+                                    node_id, direction, types)]
+                            observed.append(pairs)
+                        assert all(other == observed[1]
+                                   for other in observed[2:])
+                        assert sorted(observed[0]) == sorted(observed[1])
+        finally:
+            for store in stores:
+                store.close()
+            for path in (directory, damaged, shards):
+                shutil.rmtree(path, ignore_errors=True)

@@ -112,40 +112,17 @@ class TestOptionsOnRun:
         assert len(result) == 6
 
 
-class TestDeprecatedPositionalTimeout:
-    def test_engine_run_warns(self, engine):
-        with pytest.warns(DeprecationWarning,
-                          match="positionally is deprecated"):
-            result = engine.run("MATCH (n:function) RETURN n", None,
+class TestPositionalTimeoutIsGone:
+    """``timeout=`` / ``options=`` are the only spellings."""
+
+    def test_engine_run_rejects_positional_timeout(self, engine):
+        with pytest.raises(TypeError):
+            engine.run("MATCH (n:function) RETURN n", None, 60.0)
+
+    def test_frappe_query_rejects_positional_timeout(self, graph):
+        with pytest.raises(TypeError):
+            Frappe(graph).query("MATCH (n:function) RETURN n", None,
                                 60.0)
-        assert len(result) == 6
-
-    def test_positional_timeout_still_enforced(self, engine):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(QueryTimeoutError):
-                engine.run("MATCH n -[:calls*]-> m RETURN count(*)",
-                           None, 1e-9)
-
-    def test_frappe_query_warns(self, graph):
-        frappe = Frappe(graph)
-        with pytest.warns(DeprecationWarning,
-                          match="positionally is deprecated"):
-            result = frappe.query("MATCH (n:function) RETURN n", None,
-                                  60.0)
-        assert len(result) == 6
-
-    def test_keyword_timeout_does_not_warn(self, engine, recwarn):
-        engine.run("MATCH (n:function) RETURN n", timeout=60.0)
-        assert not [warning for warning in recwarn.list
-                    if issubclass(warning.category, DeprecationWarning)]
-
-    def test_double_timeout_rejected(self, engine):
-        with pytest.raises(TypeError):
-            engine.run("MATCH (n) RETURN n", None, 5.0, timeout=5.0)
-
-    def test_too_many_positionals_rejected(self, engine):
-        with pytest.raises(TypeError):
-            engine.run("MATCH (n) RETURN n", None, 5.0, 6.0)
 
 
 class TestFrappeOptions:

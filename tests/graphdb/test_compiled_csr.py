@@ -3,11 +3,12 @@
 The compiled layer is *derived* data: everything here checks the two
 invariants that make it safe to ship — (1) answers through the CSR
 fast path are identical to the record-decode path, byte for byte, and
-(2) any damage to the compiled files silently falls back to records
-(never wrong answers) and is repairable by ``compact``.
+(2) any damage to the compiled files falls back to records (never
+wrong answers, one logged warning) and is repairable by ``compact``.
 """
 
 import json
+import logging
 import os
 
 import pytest
@@ -16,11 +17,12 @@ from repro.core.config import StoreConfig
 from repro.core.frappe import Frappe
 from repro.errors import (EdgeNotFoundError, NodeNotFoundError,
                           StoreFormatError)
-from repro.graphdb import Direction, PropertyGraph
+from repro.graphdb import Direction, PropertyGraph, algo
 from repro.graphdb.storage import (GraphStore, PageCache, compact_store,
                                    records)
 from repro.graphdb.storage import csr as csr_mod
 from repro.graphdb.storage import store as store_mod
+from repro.graphdb.traversal import TraversalDescription
 
 
 @pytest.fixture
@@ -37,7 +39,7 @@ def sample_graph():
     g.add_edge(m, b, "calls", use_start_line=7)
     g.add_edge(m, v, "writes")
     g.add_edge(b, v, "reads")
-    g.add_edge(b, b, "calls")  # self-loop: endpoint memo edge case
+    g.add_edge(b, b, "calls")  # self-loop: other_end edge case
     return g
 
 
@@ -177,20 +179,72 @@ class TestCsrRoundTrip:
             assert mapped._csr_reader._buffer is not None  # whole-file view
 
 
-class TestEndpointMemo:
-    def test_memo_agrees_with_rel_records(self, sample_graph, store_dir):
-        with GraphStore.open(store_dir) as sg:
-            # warm the memo through the compiled typed path
-            for node_id in sample_graph.node_ids():
-                sg.neighbors_of(node_id, Direction.BOTH)
-            assert sg._endpoint_memo
-            for edge_id in sample_graph.edge_ids():
-                assert sg.edge_source(edge_id) == \
-                    sample_graph.edge_source(edge_id)
-                assert sg.edge_target(edge_id) == \
-                    sample_graph.edge_target(edge_id)
-                assert sg.edge_type(edge_id) == \
-                    sample_graph.edge_type(edge_id)
+def _rel_pages_read(sg):
+    """Pages of relationshipstore.db faulted in since the last evict."""
+    return sum(1 for file_id, _page in sg.page_cache._pages
+               if file_id == sg._rels._file_id)
+
+
+#: every ``algo`` entry point, reduced to a value that does not depend
+#: on which of several equally short paths the adjacency order picks
+#: (node ids: 0 main.c, 1 main, 2 bar, 3 counter)
+NATIVE_CASES = {
+    "reachable": lambda v: algo.reachable_nodes(v, 0),
+    "reachable_typed_in": lambda v: algo.reachable_nodes(
+        v, 2, ("calls",), Direction.IN),
+    "is_reachable": lambda v: (algo.is_reachable(v, 0, 3),
+                               algo.is_reachable(v, 3, 0)),
+    "shortest_path": lambda v: len(algo.shortest_path(v, 0, 3)),
+    "shortest_path_with_edges": lambda v: [
+        len(part) for part in algo.shortest_path_with_edges(v, 0, 3)],
+    "all_shortest_paths": lambda v: sorted(
+        algo.all_shortest_paths(v, 0, 3)),
+    "shortest_path_dag": lambda v: [
+        sorted((node, sorted(value) if isinstance(value, list)
+                else value) for node, value in part.items())
+        for part in algo.shortest_path_dag(v, 0)],
+    "all_paths": lambda v: sorted(algo.all_paths(v, 0, 3)),
+    "cycles": lambda v: sorted(
+        algo.strongly_connected_components(v, ("calls",))),
+    "components": lambda v: sorted(
+        sorted(part) for part in algo.weakly_connected_components(v)),
+}
+
+
+class TestNativesAgreeOnEveryView:
+    @pytest.mark.parametrize("case", sorted(NATIVE_CASES))
+    def test_same_answer_from_graph_records_and_csr(
+            self, case, sample_graph, store_dir):
+        run = NATIVE_CASES[case]
+        with GraphStore.open(store_dir) as compiled, \
+                GraphStore.open(store_dir,
+                                use_compiled_csr=False) as records_only:
+            assert run(compiled) == run(records_only) == \
+                run(sample_graph)
+
+
+class TestNativesStayOffRelRecords:
+    """A compiled run already holds the neighbour next to the edge, so
+    a typed native traversal must not decode rel records to find it."""
+
+    @staticmethod
+    def _traverse(sg):
+        reached = algo.reachable_nodes(sg, 1, ("calls",))
+        walked = [path.end_node for path in TraversalDescription()
+                  .relationships(("calls",), Direction.OUT)
+                  .traverse(sg, 1)]
+        return reached, walked
+
+    def test_typed_natives_read_no_rel_pages(self, store_dir):
+        with GraphStore.open(store_dir) as compiled, \
+                GraphStore.open(store_dir,
+                                use_compiled_csr=False) as records_only:
+            for sg in (compiled, records_only):
+                sg.evict_caches()
+            assert self._traverse(compiled) == \
+                self._traverse(records_only)
+            assert _rel_pages_read(compiled) == 0
+            assert _rel_pages_read(records_only) > 0  # the check bites
 
     def test_dead_edge_still_raises(self, store_dir):
         with GraphStore.open(store_dir) as sg:
@@ -225,11 +279,13 @@ class TestFormatV3:
             assert not os.path.exists(os.path.join(directory, name))
 
     def test_legacy_store_opens_with_silent_fallback(self, tmp_path,
-                                                     sample_graph):
+                                                     sample_graph,
+                                                     caplog):
         directory = str(tmp_path / "legacy")
         GraphStore.write(sample_graph, directory, compiled=False)
         with GraphStore.open(directory) as sg:
             assert sg._csr_reader is None
+            assert not caplog.records  # nothing was lost: not a fault
             assert sg.format_version == 2
             assert set(sg.edges_of(1, Direction.BOTH)) == \
                 set(sample_graph.edges_of(1, Direction.BOTH))
@@ -244,21 +300,52 @@ class TestFormatV3:
         with pytest.raises(StoreFormatError):
             GraphStore.open(store_dir)
 
-    def test_damaged_csr_falls_back_silently(self, sample_graph,
-                                             store_dir):
+    def test_damaged_csr_falls_back_and_says_so(self, sample_graph,
+                                                store_dir, caplog):
         path = os.path.join(store_dir, store_mod.CSR_FILE)
         with open(path, "r+b") as handle:
             handle.truncate(max(0, os.path.getsize(path) - 3))
-        with GraphStore.open(store_dir) as sg:
+        with caplog.at_level(logging.WARNING, logger="repro.storage"), \
+                Frappe.open(store_dir) as fr:
+            sg = fr.view
             assert sg._csr_reader is None  # size mismatch -> records
             for node_id in sample_graph.node_ids():
                 assert set(sg.edges_of(node_id, Direction.BOTH)) == \
                     set(sample_graph.edges_of(node_id, Direction.BOTH))
+            assert fr.counters()["store.csr_fallbacks"] == 1
+        [record] = caplog.records
+        assert record.name == "repro.storage"
+        assert store_dir in record.getMessage()
+        assert store_mod.CSR_FILE in record.getMessage()
 
-    def test_missing_csr_file_falls_back(self, store_dir):
+    def test_missing_csr_file_falls_back(self, store_dir, caplog):
         os.unlink(os.path.join(store_dir, store_mod.CSR_OFFSETS_FILE))
         with GraphStore.open(store_dir) as sg:
             assert sg._csr_reader is None
+            sg.attach_metrics(sg.metrics)  # as ShardedStore re-binds
+            assert sg.metrics.snapshot()["store.csr_fallbacks"] == 1
+        [record] = caplog.records
+        assert store_mod.CSR_OFFSETS_FILE in record.getMessage()
+
+    def test_descriptor_without_sizes_falls_back(self, store_dir,
+                                                 caplog):
+        path = os.path.join(store_dir, "metadata.json")
+        with open(path) as handle:
+            metadata = json.load(handle)
+        del metadata["csr"]["payload_bytes"]
+        with open(path, "w") as handle:
+            json.dump(metadata, handle)
+        with GraphStore.open(store_dir) as sg:
+            assert sg._csr_reader is None
+        [record] = caplog.records
+        assert "payload_bytes" in record.getMessage()
+
+    def test_no_csr_is_a_choice_and_stays_quiet(self, store_dir, caplog):
+        with Frappe.open(store_dir, config=StoreConfig(
+                use_compiled_csr=False)) as fr:
+            assert fr.view._csr_reader is None
+            assert "store.csr_fallbacks" not in fr.counters()
+        assert not caplog.records
 
 
 # --------------------------------------------------------------------------
@@ -374,11 +461,9 @@ class TestEvictionRegression:
             sg = fr.view
             sg.neighbors_of(1, Direction.BOTH)
             assert sg._neighbor_pair_cache
-            assert sg._endpoint_memo
             assert sg._csr_reader._views or sg._csr_reader._buffer
             fr.evict_caches()
             assert not sg._neighbor_pair_cache
-            assert not sg._endpoint_memo
             assert not sg._adj_cache and not sg._rel_cache
             assert not sg._csr_reader._views
             assert sg._csr_reader._buffer is None

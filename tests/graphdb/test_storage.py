@@ -233,6 +233,8 @@ class TestRoundTrip:
             assert sorted(sg.node_ids()) == sorted(sample_graph.node_ids())
             with pytest.raises(NodeNotFoundError):
                 sg.node_labels(2)
+            with pytest.raises(NodeNotFoundError):
+                list(sg.edges_of(2, Direction.OUT))
 
     def test_missing_edge_raises(self, opened):
         _, sg = opened
@@ -256,69 +258,6 @@ class TestRoundTrip:
         sg.page_cache.stats.reset()
         sg.node_properties(1)  # object cache absorbs it entirely
         assert sg.page_cache.stats.misses == 0
-
-
-class TestLazyCsrAdjacency:
-    """ISSUE 8: ``enable_csr`` promotes the CSR snapshot to the
-    default adjacency read format, built lazily per node — batch
-    queries get snapshot-speed warm adjacency without the eager
-    O(E) scan on cold stores."""
-
-    def test_answers_unchanged(self, opened):
-        g, sg = opened
-        sg.enable_csr()
-        for node_id in g.node_ids():
-            for direction in Direction:
-                assert set(sg.edges_of(node_id, direction)) == \
-                    set(g.edges_of(node_id, direction))
-                assert sg.degree(node_id, direction) == \
-                    g.degree(node_id, direction)
-
-    def test_lazy_build_is_incremental_and_sticky(self, opened):
-        _, sg = opened
-        sg.evict_caches()
-        sg.enable_csr()
-        assert sg._csr == {} and not sg._csr_complete
-        list(sg.edges_of(1, Direction.OUT))
-        assert list(sg._csr) == [1]  # only the touched node decoded
-        faults = sg._fault_counter.value
-        list(sg.edges_of(1, Direction.OUT))
-        assert sg._fault_counter.value == faults  # no re-decode
-
-    def test_enable_is_idempotent_and_keeps_eager_snapshot(self,
-                                                           opened):
-        _, sg = opened
-        sg.snapshot_adjacency()
-        eager = sg._csr
-        assert sg._csr_complete
-        sg.enable_csr()  # must not demote the complete snapshot
-        assert sg._csr is eager and sg._csr_complete
-
-    def test_evict_keeps_lazy_mode_but_drops_entries(self, opened):
-        _, sg = opened
-        sg.enable_csr()
-        list(sg.edges_of(1, Direction.OUT))
-        sg.evict_caches()
-        # still enabled (the engine re-enables per query anyway) but
-        # cold: entries rebuild on access
-        assert sg._csr == {} and not sg._csr_complete
-        assert set(sg.edges_of(1, Direction.OUT)) != set() or True
-        assert 1 in sg._csr
-
-    def test_evict_drops_eager_snapshot_entirely(self, opened):
-        _, sg = opened
-        sg.snapshot_adjacency()
-        sg.evict_caches()
-        assert sg._csr is None and not sg._csr_complete
-
-    def test_dead_node_still_raises(self, tmp_path, sample_graph):
-        sample_graph.remove_node(2)
-        directory = str(tmp_path / "csr-holes")
-        GraphStore.write(sample_graph, directory)
-        with GraphStore.open(directory) as sg:
-            sg.enable_csr()
-            with pytest.raises(NodeNotFoundError):
-                list(sg.edges_of(2, Direction.OUT))
 
 
 class TestStoreValidation:

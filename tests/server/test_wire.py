@@ -50,10 +50,11 @@ class TestQueryRequest:
             wire.parse_query_request(b'{"query": "RETURN 1", '
                                      b'"cypher": "x"}')
 
-    def test_rejects_unknown_option_key(self):
+    @pytest.mark.parametrize("key", ["max_row", "use_compiled_kernels"])
+    def test_rejects_unknown_option_key(self, key):
         body = json.dumps({"query": "RETURN 1",
-                           "options": {"max_row": 5}}).encode()
-        with pytest.raises(wire.WireFormatError, match="max_row"):
+                           "options": {key: 5}}).encode()
+        with pytest.raises(wire.WireFormatError, match=key):
             wire.parse_query_request(body)
 
     def test_rejects_non_object_options(self):
