@@ -161,6 +161,6 @@ class TestCompiledStoreSize:
             "csr_bytes": csr_bytes,
             "dictionary_bytes": dict_bytes,
             "overhead": round(overhead, 4)})
-        # the varint-delta segments + dictionary must stay a modest
+        # the fixed-width CSR columns + dictionary must stay a modest
         # fraction of the record store they are derived from
         assert overhead < 0.5, overhead

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping as MappingView
-from typing import Any, Iterator, Mapping
+from typing import Any, Collection, Iterable, Iterator, Mapping
 
 from repro.cypher import ast
 from repro.cypher import matcher as _matcher
@@ -1062,25 +1062,13 @@ def _expand_reachability_vec(step: Any, source: int,
             # frontier order, and the yielded/visited updates below
             # run serially in that order, so first-reach order — and
             # therefore the result rows — match the serial BFS exactly
-            for neighbors in _frontier_parallel(frontier, direction,
-                                                types, edge_ok, view,
-                                                ctx):
-                for neighbor in neighbors:
-                    if neighbor not in yielded:
-                        yielded.add(neighbor)
-                        results.append((neighbor, (), no_edges))
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-            continue
-        for node_id in frontier:
-            pairs = ctx.neighbors(node_id, direction, types)
-            ctx.tick(len(pairs))
-            for edge_id, neighbor in pairs:
-                if edge_ok is not None and not edge_ok(edge_id, view,
-                                                       ctx):
-                    continue
+            level: Iterable[Collection[int]] = _frontier_parallel(
+                frontier, direction, types, edge_ok, view, ctx)
+        else:
+            level = (_reached(node_id, direction, types, edge_ok, view,
+                              ctx) for node_id in frontier)
+        for neighbors in level:
+            for neighbor in neighbors:
                 if neighbor not in yielded:
                     yielded.add(neighbor)
                     results.append((neighbor, (), no_edges))
@@ -1091,10 +1079,27 @@ def _expand_reachability_vec(step: Any, source: int,
     return results
 
 
+def _reached(node_id: int, direction: Any,
+             types: tuple[str, ...] | None, edge_ok: Any,
+             view: Mapping[str, Any],
+             ctx: ExecutionContext) -> Collection[int]:
+    """One closure expansion: the neighbours of *node_id* over edges
+    that pass *edge_ok*, ticked per edge looked at.  Without a filter
+    the edge ids are never read."""
+    if edge_ok is None:
+        reached = ctx.neighbor_ids(node_id, direction, types)
+        ctx.tick(len(reached))
+        return reached
+    pairs = ctx.neighbors(node_id, direction, types)
+    ctx.tick(len(pairs))
+    return [neighbor for edge_id, neighbor in pairs
+            if edge_ok(edge_id, view, ctx)]
+
+
 def _frontier_parallel(frontier: list[int], direction: Any,
                        types: tuple[str, ...] | None, edge_ok: Any,
                        view: Mapping[str, Any], ctx: ExecutionContext,
-                       ) -> list[list[int]]:
+                       ) -> list[Collection[int]]:
     """Expand one BFS level on the pool: the frontier splits into
     ``ctx.parallelism`` contiguous slices, each slice's nodes resolve
     (and edge-filter) their adjacency on a forked context, and the
@@ -1115,24 +1120,17 @@ def _frontier_parallel(frontier: list[int], direction: Any,
     slices = [frontier[start:start + size]
               for start in range(0, len(frontier), size)]
 
-    def expand(nodes: list[int], fork: ExecutionContext) -> list[list[int]]:
-        out = []
-        for node_id in nodes:
-            pairs = fork.neighbors(node_id, direction, types)
-            fork.tick(len(pairs))
-            if edge_ok is None:
-                out.append([neighbor for _edge, neighbor in pairs])
-            else:
-                out.append([neighbor for edge_id, neighbor in pairs
-                            if edge_ok(edge_id, view, fork)])
-        return out
+    def expand(nodes: list[int],
+               fork: ExecutionContext) -> list[Collection[int]]:
+        return [_reached(node_id, direction, types, edge_ok, view, fork)
+                for node_id in nodes]
 
     tasks = []
     for nodes in slices:
         fork = ctx.fork(QueryProfiler() if profiled else None)
         fn = (lambda n=nodes, f=fork: (expand(n, f), f))
         tasks.append(spawn(fn) if spawn is not None else _InlineTask(fn))
-    results: list[list[int]] = []
+    results: list[Collection[int]] = []
     for task in tasks:
         out, fork = task.result()
         ctx.absorb(fork)

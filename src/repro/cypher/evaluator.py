@@ -8,7 +8,7 @@ the predicate evaluates to exactly ``True``.
 from __future__ import annotations
 
 import time
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 from repro.cypher import ast
 from repro.cypher.result import EdgeRef, NodeRef, PathValue
@@ -74,9 +74,14 @@ class ExecutionContext:
         # batch executor's resolved-adjacency fast path
         self._neighbor_memo: dict[tuple[int, Any, Any],
                                   list[tuple[int, int]]] = {}
+        # (node, direction, types) -> neighbour ids, for the closure
+        # kernels that never look at the edge
+        self._neighbor_id_memo: dict[tuple[int, Any, Any],
+                                     Collection[int]] = {}
         self._resolve_neighbors = getattr(view, "resolve_neighbors",
                                           None)
         self._bulk_neighbors = getattr(view, "neighbors_of", None)
+        self._bulk_neighbor_ids = getattr(view, "neighbor_ids_of", None)
         self.adjacency_hits = 0
         self.adjacency_misses = 0
         # per-clause pattern plans (anchor + step order), keyed on
@@ -130,8 +135,10 @@ class ExecutionContext:
         clone._tick_counter = self._CHECK_EVERY - 1
         clone._adjacency_memo = self._adjacency_memo
         clone._neighbor_memo = self._neighbor_memo
+        clone._neighbor_id_memo = self._neighbor_id_memo
         clone._resolve_neighbors = self._resolve_neighbors
         clone._bulk_neighbors = self._bulk_neighbors
+        clone._bulk_neighbor_ids = self._bulk_neighbor_ids
         clone.adjacency_hits = 0
         clone.adjacency_misses = 0
         clone._pattern_plans = self._pattern_plans
@@ -248,12 +255,13 @@ class ExecutionContext:
                         ) -> list[tuple[int, int]]:
         node_id, direction, types = key
         if self._bulk_neighbors is not None:
-            # the view caches resolved adjacency across queries; the
-            # logical access is still charged here, once per key per
-            # query, exactly as the adjacency() miss path charges it
+            # the logical access is charged here, once per key per
+            # query, exactly as the adjacency() miss path charges it —
+            # and not again when neighbor_ids() already paid for it
             self.adjacency_misses += 1
             pairs = self._bulk_neighbors(node_id, direction, types)
-            self.db_hit(len(pairs) or 1)
+            if key not in self._neighbor_id_memo:
+                self.db_hit(len(pairs) or 1)
         else:
             edges = self.adjacency(node_id, direction, types)
             resolver = self._resolve_neighbors
@@ -269,6 +277,48 @@ class ExecutionContext:
         if len(self._neighbor_memo) < self._ADJACENCY_MEMO_LIMIT:
             self._neighbor_memo[key] = pairs
         return pairs
+
+    def neighbor_ids(self, node_id: int, direction: Any,
+                     types: tuple[str, ...] | None) -> Collection[int]:
+        """:meth:`neighbors` without the edges, for kernels that only
+        follow them: a view that stores neighbours apart from edge ids
+        (``neighbor_ids_of``) is read for that column alone.
+
+        Charged like :meth:`neighbors` — one db-hit per neighbour (at
+        least one) on the miss that reads the store, once per key per
+        query whichever of the two methods read it first; callers
+        still :meth:`tick` per neighbour consumed.
+        """
+        key = (node_id, direction, types)
+        ids = self._neighbor_id_memo.get(key)
+        if ids is not None:
+            self.adjacency_hits += 1
+            return ids
+        lock = self._memo_lock
+        if lock is not None:
+            with lock:
+                ids = self._neighbor_id_memo.get(key)
+                if ids is not None:
+                    self.adjacency_hits += 1
+                    return ids
+                return self._neighbor_ids_miss(key)
+        return self._neighbor_ids_miss(key)
+
+    def _neighbor_ids_miss(self, key: tuple[int, Any, Any],
+                           ) -> Collection[int]:
+        node_id, direction, types = key
+        pairs = self._neighbor_memo.get(key)
+        if pairs is None and self._bulk_neighbor_ids is not None:
+            self.adjacency_misses += 1
+            ids = self._bulk_neighbor_ids(node_id, direction, types)
+            self.db_hit(len(ids) or 1)
+        else:
+            if pairs is None:
+                pairs = self.neighbors(node_id, direction, types)
+            ids = [neighbor for _edge_id, neighbor in pairs]
+        if len(self._neighbor_id_memo) < self._ADJACENCY_MEMO_LIMIT:
+            self._neighbor_id_memo[key] = ids
+        return ids
 
     def check_deadline(self) -> None:
         if self.timeout is not None and \

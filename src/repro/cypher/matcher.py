@@ -410,7 +410,6 @@ def _expand_reachability(step: _Step, source: int,
     so clause-level edge uniqueness has nothing left to check.
     """
     rel = step.rel
-    types = rel.types or None
     max_hops = rel.max_hops
     visited = {source}
     yielded = set()
@@ -423,12 +422,7 @@ def _expand_reachability(step: _Step, source: int,
         depth += 1
         next_frontier: list[int] = []
         for node_id in frontier:
-            for edge_id, neighbor in ctx.neighbors(
-                    node_id, step.direction, types):
-                ctx.tick()
-                if rel.properties and \
-                        not _edge_props_ok(rel, edge_id, row, ctx):
-                    continue
+            for neighbor in _reached(step, node_id, row, ctx):
                 if neighbor not in yielded:
                     # the source itself is yielded only when re-reached
                     # through an edge (a cycle), matching enumeration
@@ -438,6 +432,25 @@ def _expand_reachability(step: _Step, source: int,
                     visited.add(neighbor)
                     next_frontier.append(neighbor)
         frontier = next_frontier
+
+
+def _reached(step: _Step, node_id: int, row: Mapping[str, Any],
+             ctx: ExecutionContext) -> Iterator[int]:
+    """One closure expansion: the neighbours of *node_id* over edges
+    that pass the relationship's property map, ticked per edge looked
+    at.  Without a property map the edge ids are never read."""
+    rel = step.rel
+    types = rel.types or None
+    if not rel.properties:
+        for neighbor in ctx.neighbor_ids(node_id, step.direction, types):
+            ctx.tick()
+            yield neighbor
+        return
+    for edge_id, neighbor in ctx.neighbors(node_id, step.direction,
+                                           types):
+        ctx.tick()
+        if _edge_props_ok(rel, edge_id, row, ctx):
+            yield neighbor
 
 
 def _build_path(pattern: ast.Pattern, bound: dict[int, int],

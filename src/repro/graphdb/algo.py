@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Collection, Iterator
 
-from repro.graphdb.view import (Direction, GraphView, neighbor_pairs,
-                                neighbors)
+from repro.graphdb.view import (Direction, GraphView, neighbor_ids,
+                                neighbor_pairs)
 
 
 def reachable_nodes(view: GraphView, start: int,
@@ -36,10 +36,10 @@ def reachable_nodes(view: GraphView, start: int,
         node_id, depth = frontier.popleft()
         if max_depth is not None and depth >= max_depth:
             continue
-        for _edge_id, neighbor in neighbor_pairs(
-                view, node_id, direction, types):
-            if expansions is not None:
-                expansions.inc()
+        reached = neighbor_ids(view, node_id, direction, types)
+        if expansions is not None:
+            expansions.inc(len(reached))
+        for neighbor in reached:
             if neighbor not in visited:
                 visited.add(neighbor)
                 frontier.append((neighbor, depth + 1))
@@ -63,8 +63,7 @@ def is_reachable(view: GraphView, source: int, target: int,
         node_id, depth = frontier.popleft()
         if max_depth is not None and depth >= max_depth:
             continue
-        for _edge_id, neighbor in neighbor_pairs(
-                view, node_id, direction, types):
+        for neighbor in neighbor_ids(view, node_id, direction, types):
             if neighbor == target:
                 return True
             if neighbor not in visited:
@@ -317,8 +316,7 @@ def all_paths(view: GraphView, source: int, target: int,
             continue
         if len(path) > max_depth:
             continue
-        for _edge_id, neighbor in neighbor_pairs(
-                view, node_id, direction, types):
+        for neighbor in neighbor_ids(view, node_id, direction, types):
             if neighbor in path and neighbor != target:
                 continue
             stack.append((neighbor, path + [neighbor]))
@@ -346,8 +344,8 @@ def strongly_connected_components(
         if root in index_of:
             continue
         # iterative Tarjan: (node, neighbor iterator) work stack
-        work = [(root, iter(list(neighbors(view, root, Direction.OUT,
-                                           types))))]
+        work = [(root, iter(neighbor_ids(view, root, Direction.OUT,
+                                         types)))]
         index_of[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -361,9 +359,8 @@ def strongly_connected_components(
                     counter += 1
                     stack.append(neighbor)
                     on_stack.add(neighbor)
-                    work.append((neighbor, iter(list(
-                        neighbors(view, neighbor, Direction.OUT,
-                                  types)))))
+                    work.append((neighbor, iter(neighbor_ids(
+                        view, neighbor, Direction.OUT, types))))
                     advanced = True
                     break
                 if neighbor in on_stack:
@@ -392,9 +389,7 @@ def strongly_connected_components(
 
 def _has_self_loop(view: GraphView, node_id: int,
                    types: Collection[str] | None) -> bool:
-    return any(neighbor == node_id
-               for _edge_id, neighbor in neighbor_pairs(
-                   view, node_id, Direction.OUT, types))
+    return node_id in neighbor_ids(view, node_id, Direction.OUT, types)
 
 
 def weakly_connected_components(view: GraphView) -> list[set[int]]:

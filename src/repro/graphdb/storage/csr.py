@@ -1,39 +1,45 @@
 """Compiled CSR adjacency segments: build-time-persisted neighbor lists.
 
-The runtime CSR snapshot (PR 8) made the batch engine fast *once warm*
-by decoding every adjacency block into Python dicts on first touch.
-This module moves that work to build time: ``GraphStore.write`` (and
-``frappe compact``) serialize one **CSR segment** per (direction,
-edge-type) pair, and the reader serves neighbor lists straight off the
-mmap with a varint decode of only the touched run.
+``GraphStore.write`` (and ``frappe compact``) serialize one **CSR
+segment** per (direction, edge-type) pair; the reader serves a node's
+neighbours, edge ids or degree by offset arithmetic on fixed-width
+columns — Neo4j's fixed-size-record rule (paper Section 5) applied to
+adjacency, so a cold read costs the page fault and nothing else.
 
-On-disk layout — two flat files plus a JSON descriptor in
-``metadata.json`` under the ``"csr"`` key:
+On-disk layout (descriptor version 2) — two flat files plus a JSON
+descriptor in ``metadata.json`` under the ``"csr"`` key:
 
 ``csr.db``
-    Concatenated per-segment payloads.  A segment's payload is the
-    concatenation of its nodes' *pair runs*
-    (:func:`repro.graphdb.storage.records.encode_pair_run`): uvarint
-    count, zigzag-varint edge-id deltas, zigzag-varint neighbor-id
-    deltas — order-preserving, so a decoded run is byte-for-byte the
-    (edge id, neighbor id) list the record path would produce.
+    Concatenated per-segment payloads.  A segment with *E* directed
+    entries is two parallel little-endian ``u32`` columns,
+    ``neighbours[E]`` then ``edge_ids[E]``: entry *i* of both columns
+    describes the same edge.  Entries are grouped by node in ascending
+    node-id order and keep adjacency-group order within a node, so a
+    node's slice of the two columns is exactly the (edge id, neighbor
+    id) list the record path would produce.
 
 ``csr.offsets.db``
-    Per-segment fixed-width ``u32`` offset arrays.  A segment covering
-    node ids ``[base, base + span)`` stores ``span + 1`` offsets
-    relative to its payload start; node ``n``'s run is
-    ``payload[offsets[n - base]:offsets[n - base + 1]]`` and an empty
-    run is two equal offsets.  The whole array is served as one
-    zero-copy memoryview in mmap mode — locating a run is two ``u32``
-    reads, no scan.
+    Per-segment ``u32`` offset arrays, counted in *elements*.  A
+    segment covering node ids ``[base, base + span)`` stores
+    ``span + 1`` offsets; node ``n``'s run is
+    ``column[offsets[n - base]:offsets[n - base + 1]]`` in either
+    column, its degree is the difference of the two offsets, and an
+    empty run is two equal offsets.
+
+Both files are read as ``memoryview.cast("I")`` over the page-cache
+read: one whole-file view in mmap mode, one view per run in buffered
+mode (so a store larger than memory never gets pinned wholesale).
+There is no decode loop on any path.
 
 Descriptor (per segment): direction (0=out, 1=in), type token, base,
 span, payload/offsets extents, CRC32 per region, and degree statistics
 (edge count, max degree, log2-bucketed degree histogram) that the
-planner picks up for free at open.
+planner picks up for free at open.  A descriptor of another version is
+never decoded: the store falls back to record decode and ``frappe
+compact`` rewrites it.
 
 Segments are deterministic: ordered by (direction, token), runs in
-ascending node-id order, pairs in adjacency-group order — the same
+ascending node-id order, entries in adjacency-group order — the same
 order the record-decode path yields, which is what makes the two
 paths row-identical down to PROFILE trees.
 """
@@ -41,54 +47,75 @@ paths row-identical down to PROFILE trees.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
+from array import array
 from typing import Any, Sequence
 
-from repro.errors import StoreFormatError
-from repro.graphdb.storage import records
+from repro.errors import StoreCorruptionError, StoreFormatError
 
 #: direction codes used in segment descriptors
 OUT = 0
 IN = 1
 
-CSR_DESCRIPTOR_VERSION = 1
+CSR_DESCRIPTOR_VERSION = 2
 OFFSET_WIDTH = 4
-_U32_MAX = 0xFFFFFFFF
-_UNPACK_BOUNDS = struct.Struct("<II").unpack_from
 
 #: log2 degree-histogram buckets; bucket b counts nodes whose run
 #: degree d satisfies 2**(b-1) <= d < 2**b (bucket 0 = degree 0)
 DEGREE_BUCKETS = 16
 
+if sys.byteorder == "little":
+    def _u32(buffer: Any) -> Sequence[int]:
+        """*buffer* (bytes or memoryview) as its ``u32`` elements,
+        zero-copy."""
+        return memoryview(buffer).cast("I")
+
+    def _u32_bytes(column: array) -> bytes:
+        return column.tobytes()
+else:  # the files are little-endian whatever the host is
+    def _u32(buffer: Any) -> Sequence[int]:
+        return struct.unpack(f"<{len(buffer) // 4}I", buffer)
+
+    def _u32_bytes(column: array) -> bytes:
+        swapped = array("I", column)
+        swapped.byteswap()
+        return swapped.tobytes()
+
 
 class _Segment:
     """One (direction, token) segment being accumulated by the writer."""
 
-    __slots__ = ("direction", "token", "base", "payload", "offsets",
-                 "edges", "max_degree", "degree_hist")
+    __slots__ = ("direction", "token", "base", "neighbours", "edge_ids",
+                 "offsets", "max_degree", "degree_hist")
 
     def __init__(self, direction: int, token: int, base: int) -> None:
         self.direction = direction
         self.token = token
         self.base = base
-        self.payload = bytearray()
-        self.offsets = [0]
-        self.edges = 0
+        self.neighbours = array("I")
+        self.edge_ids = array("I")
+        self.offsets = array("I", [0])
         self.max_degree = 0
         self.degree_hist = [0] * DEGREE_BUCKETS
 
 
 class CsrBuilder:
-    """Accumulates per-node pair runs; nodes must arrive in ascending
-    id order (the store writer's natural iteration order)."""
+    """Accumulates per-node runs into ``u32`` columns; nodes must
+    arrive in ascending id order (the store writer's natural iteration
+    order)."""
 
     def __init__(self) -> None:
         self._segments: dict[tuple[int, int], _Segment] = {}
 
     def add(self, node_id: int, direction: int, token: int,
-            pairs: Sequence[tuple[int, int]]) -> None:
-        """Append node *node_id*'s (edge id, neighbor id) run."""
-        if not pairs:
+            edge_ids: Sequence[int], neighbours: Sequence[int]) -> None:
+        """Append node *node_id*'s run: ``edge_ids[i]`` leads to
+        ``neighbours[i]``."""
+        degree = len(edge_ids)
+        if len(neighbours) != degree:
+            raise ValueError("a CSR run needs one neighbour per edge")
+        if not degree:
             return
         key = (direction, token)
         segment = self._segments.get(key)
@@ -100,13 +127,17 @@ class CsrBuilder:
             raise ValueError(
                 f"CSR runs must arrive in ascending node order "
                 f"(got {node_id} after {covered - 1})")
-        size = len(segment.payload)
+        size = len(segment.edge_ids)
+        try:
+            segment.edge_ids.extend(edge_ids)
+            segment.neighbours.extend(neighbours)
+        except OverflowError:
+            raise StoreFormatError(
+                f"CSR run of node {node_id} in segment {key} holds an "
+                "id outside the u32 column range") from None
         # empty runs for the node ids skipped since the last add
         segment.offsets.extend([size] * (node_id - covered))
-        segment.payload += records.encode_pair_run(pairs)
-        segment.offsets.append(len(segment.payload))
-        degree = len(pairs)
-        segment.edges += degree
+        segment.offsets.append(size + degree)
         if degree > segment.max_degree:
             segment.max_degree = degree
         segment.degree_hist[min(degree.bit_length(),
@@ -121,12 +152,9 @@ class CsrBuilder:
         offsets_at = 0
         for key in sorted(self._segments):
             segment = self._segments[key]
-            payload = bytes(segment.payload)
-            if len(payload) > _U32_MAX:
-                raise StoreFormatError(
-                    f"CSR segment {key} exceeds the u32 offset range")
-            offsets = struct.pack(f"<{len(segment.offsets)}I",
-                                  *segment.offsets)
+            payload = _u32_bytes(segment.neighbours) + \
+                _u32_bytes(segment.edge_ids)
+            offsets = _u32_bytes(segment.offsets)
             segments.append({
                 "direction": segment.direction,
                 "token": segment.token,
@@ -134,11 +162,11 @@ class CsrBuilder:
                 "span": len(segment.offsets) - 1,
                 "payload_offset": payload_at,
                 "payload_bytes": len(payload),
-                "payload_crc32": zlib.crc32(payload) & _U32_MAX,
+                "payload_crc32": zlib.crc32(payload),
                 "offsets_offset": offsets_at,
                 "offsets_bytes": len(offsets),
-                "offsets_crc32": zlib.crc32(offsets) & _U32_MAX,
-                "edges": segment.edges,
+                "offsets_crc32": zlib.crc32(offsets),
+                "edges": len(segment.edge_ids),
                 "max_degree": segment.max_degree,
                 "degree_hist": list(segment.degree_hist),
             })
@@ -161,46 +189,36 @@ class CsrReader:
 
     Offset arrays are read once per segment through the page cache —
     a zero-copy memoryview in mmap mode — and cached until
-    :meth:`evict`.  Payload reads touch only the queried run.
+    :meth:`evict`.  Column reads touch only the queried run, and every
+    run is range-checked against *high_node* / *rel_high* as it is
+    read: a flipped byte is a :class:`StoreCorruptionError` here, not
+    a dangling id three layers up.
     """
 
     def __init__(self, payload_file: Any, offsets_file: Any,
-                 descriptor: dict[str, Any]) -> None:
+                 descriptor: dict[str, Any], high_node: int,
+                 rel_high: int) -> None:
         self._payload = payload_file
         self._offsets = offsets_file
-        self._segments: dict[tuple[int, int], dict[str, Any]] = {}
-        self._by_direction: dict[int, list[dict[str, Any]]] = {OUT: [],
-                                                               IN: []}
-        for entry in descriptor.get("segments", ()):
-            key = (entry["direction"], entry["token"])
-            self._segments[key] = entry
-            self._by_direction.setdefault(entry["direction"],
-                                          []).append(entry)
-        for entries in self._by_direction.values():
-            entries.sort(key=lambda entry: entry["token"])
-        # flat per-direction scan tables: plain int tuples so groups()
-        # can reject a non-covering segment with two comparisons, no
-        # dict subscripts or method calls
-        self._flat: dict[int, tuple[tuple, ...]] = {
-            direction: tuple(
-                (entry["token"], entry["base"], entry["span"],
-                 entry["payload_offset"], entry["payload_bytes"],
-                 entry["offsets_offset"], (direction, entry["token"]))
-                for entry in entries)
-            for direction, entries in self._by_direction.items()}
-        self._views: dict[tuple[int, int], Any] = {}
-        #: whole-payload memoryview, mmap mode only: runs are sliced
+        self._mapped = bool(getattr(payload_file, "mapped", False))
+        self._high_node = high_node
+        self._rel_high = rel_high
+        # (direction, token) -> (base, span, first column element,
+        # edges, offsets position): column positions are in u32
+        # elements from the start of csr.db
+        self._segments: dict[tuple[int, int], tuple[int, ...]] = {
+            (entry["direction"], entry["token"]):
+            (entry["base"], entry["span"], entry["payload_offset"] // 4,
+             entry["edges"], entry["offsets_offset"])
+            for entry in descriptor.get("segments", ())}
+        self._tokens: dict[int, list[int]] = {
+            direction: sorted(token for side, token in self._segments
+                              if side == direction)
+            for direction in (OUT, IN)}
+        self._views: dict[tuple[int, int], Sequence[int]] = {}
+        #: whole-payload u32 view, mmap mode only: runs are sliced
         #: zero-copy with no per-run page-cache round trip
         self._buffer: Any = None
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)
-
-    def tokens(self, direction: int) -> list[int]:
-        """Type tokens with a segment in *direction*, ascending."""
-        return [entry["token"]
-                for entry in self._by_direction.get(direction, ())]
 
     def evict(self) -> None:
         """Drop the cached offset-array views and the payload buffer
@@ -209,163 +227,180 @@ class CsrReader:
         self._views.clear()
         self._buffer = None
 
-    def _payload_buffer(self) -> Any:
-        """The whole payload as one zero-copy view (mmap mode), else
-        None — the buffered path reads runs individually so a store
-        larger than memory never gets pinned wholesale."""
-        buffer = self._buffer
-        if buffer is None and getattr(self._payload, "mapped", False):
-            size = self._payload.size
-            if size:
-                buffer = self._payload.read(0, size)
-                self._buffer = buffer
-        return buffer
-
-    def groups(self, node_id: int, direction: int,
-               wanted: "set[int] | frozenset[int] | None" = None,
-               ) -> list[tuple[int, list[tuple[int, int]]]]:
-        """Non-empty (token, pairs) groups for *node_id*, token-ascending
-        — the exact group order of a decoded adjacency block, whatever
-        order *wanted* came in."""
-        out: list[tuple[int, list[tuple[int, int]]]] = []
+    def _runs(self, node_id: int, directions: Sequence[int],
+              wanted: "Sequence[int] | None",
+              column: int | None) -> list[Any]:
+        """One entry per non-empty run of *node_id*, direction by
+        direction over the *wanted* type tokens (ascending; None =
+        every type) — with ``(OUT, IN)`` the group order of a decoded
+        adjacency block.  The entry is the run's slice of a column
+        (0 = neighbours, 1 = edge ids), every id checked against the
+        store's, or with ``column=None`` just its length: offset
+        arithmetic, no ``csr.db`` page touched."""
+        found = []
+        segments = self._segments
         views = self._views
-        offsets_read = self._offsets.read
-        buffer = self._payload_buffer()
-        payload_read = self._payload.read
-        unpack_bounds = _UNPACK_BOUNDS
-        decode_run = records.decode_pair_run
-        for (token, base, span, payload_offset, payload_bytes,
-             offsets_offset, key) in self._flat.get(direction, ()):
-            index = node_id - base
-            if index < 0 or index >= span:
-                continue
-            if wanted is not None and token not in wanted:
-                continue
-            view = views.get(key)
-            if view is None:
-                view = offsets_read(offsets_offset, 4 * (span + 1))
-                views[key] = view
-            start, end = unpack_bounds(view, 4 * index)
-            if start == end:
-                continue
-            if end < start or end > payload_bytes:
-                raise StoreFormatError(
-                    f"CSR offsets corrupt for node {node_id} in segment "
-                    f"{key}: [{start}, {end})")
-            if buffer is not None:
-                at = payload_offset + start
-                run = buffer[at:at + (end - start)]  # zero-copy slice
-            else:
-                run = payload_read(payload_offset + start, end - start)
-            pairs, _consumed = decode_run(run)
-            out.append((token, pairs))
-        return out
+        limit = self._rel_high if column else self._high_node
+        buffer = self._buffer
+        if buffer is None and self._mapped and column is not None:
+            buffer = self._buffer = _u32(
+                self._payload.read(0, self._payload.size))
+        for direction in directions:
+            for token in self._tokens[direction] \
+                    if wanted is None else wanted:
+                key = (direction, token)
+                segment = segments.get(key)
+                if segment is None:
+                    continue
+                base, span, column_at, edges, offsets_offset = segment
+                index = node_id - base
+                if index < 0 or index >= span:
+                    continue
+                view = views.get(key)
+                if view is None:
+                    view = views[key] = _u32(self._offsets.read(
+                        offsets_offset, 4 * (span + 1)))
+                start = view[index]
+                end = view[index + 1]
+                if start == end:
+                    continue
+                if end < start or end > edges:
+                    raise StoreCorruptionError(
+                        f"CSR offsets of node {node_id} in segment {key} "
+                        f"are [{start}, {end}) of {edges} entries",
+                        file=self._offsets.path,
+                        offset=offsets_offset + 4 * index)
+                if column is None:
+                    found.append(end - start)
+                    continue
+                # a segment is neighbours[edges] then edge_ids[edges]
+                first = column_at + column * edges + start
+                if buffer is not None:
+                    run = buffer[first:first + end - start]  # zero-copy
+                else:
+                    run = _u32(self._payload.read(4 * first,
+                                                  4 * (end - start)))
+                if max(run) >= limit:
+                    raise StoreCorruptionError(
+                        f"CSR column holds id {max(run)}, store ids "
+                        f"end at {limit}", file=self._payload.path,
+                        offset=4 * first)
+                found.append(run)
+        return found
+
+    def degree(self, node_id: int, directions: Sequence[int],
+               wanted: "Sequence[int] | None" = None) -> int:
+        """Entries of *node_id*'s runs: differences of offsets, no
+        ``csr.db`` page touched."""
+        return sum(self._runs(node_id, directions, wanted, None))
+
+    def neighbor_ids(self, node_id: int, directions: Sequence[int],
+                     wanted: "Sequence[int] | None" = None,
+                     ) -> list[Sequence[int]]:
+        """The neighbour column of each non-empty run of *node_id*."""
+        return self._runs(node_id, directions, wanted, 0)
+
+    def edge_ids(self, node_id: int, directions: Sequence[int],
+                 wanted: "Sequence[int] | None" = None,
+                 ) -> list[Sequence[int]]:
+        """The edge-id column of each non-empty run of *node_id*."""
+        return self._runs(node_id, directions, wanted, 1)
+
+
+def _first_at_or_above(column: Sequence[int], limit: int) -> int:
+    return next(index for index, value in enumerate(column)
+                if value >= limit)
 
 
 def verify_descriptor(descriptor: dict[str, Any], payload: bytes,
-                      offsets: bytes, high_node: int,
-                      rel_high: int) -> list[tuple[str, str]]:
+                      offsets: bytes, high_node: int, rel_high: int,
+                      ) -> list[tuple[str, str, int | None]]:
     """Structural fsck of the CSR files against their descriptor.
 
-    Returns (file-kind, message) problems; file-kind is ``"payload"``
-    or ``"offsets"``.  Every run of every segment is decoded, so a
-    clean verdict means the whole compiled adjacency is readable and
-    every edge/neighbor id is in range.
+    Returns (file-kind, message, byte offset or None) problems;
+    file-kind is ``"payload"`` or ``"offsets"``.  Columns are checked
+    whole (CRC, length, monotone offsets, largest id), so a clean
+    verdict means every run is readable and every edge/neighbor id is
+    in range.
     """
-    problems: list[tuple[str, str]] = []
+    version = descriptor.get("version")
+    if version != CSR_DESCRIPTOR_VERSION:
+        return [("payload", f"csr layout {version!r} (current is "
+                 f"{CSR_DESCRIPTOR_VERSION}), run `frappe compact`",
+                 None)]
     if descriptor.get("offset_width") != OFFSET_WIDTH:
-        problems.append(("offsets", "unsupported CSR offset width "
-                         f"{descriptor.get('offset_width')!r}"))
-        return problems
+        return [("offsets", "unsupported CSR offset width "
+                 f"{descriptor.get('offset_width')!r}", None)]
     if descriptor.get("payload_bytes") != len(payload):
-        problems.append(
-            ("payload", f"csr payload is {len(payload)} bytes, "
-             f"descriptor says {descriptor.get('payload_bytes')}"))
-        return problems
+        return [("payload", f"csr payload is {len(payload)} bytes, "
+                 f"descriptor says {descriptor.get('payload_bytes')}",
+                 None)]
     if descriptor.get("offsets_bytes") != len(offsets):
-        problems.append(
-            ("offsets", f"csr offsets file is {len(offsets)} bytes, "
-             f"descriptor says {descriptor.get('offsets_bytes')}"))
-        return problems
+        return [("offsets", f"csr offsets file is {len(offsets)} bytes, "
+                 f"descriptor says {descriptor.get('offsets_bytes')}",
+                 None)]
+    problems: list[tuple[str, str, int | None]] = []
+    payload_view = memoryview(payload)
+    offsets_view = memoryview(offsets)
     for entry in descriptor.get("segments", ()):
         name = f"segment (dir={entry['direction']}, token={entry['token']})"
-        segment_payload = payload[
-            entry["payload_offset"]:
-            entry["payload_offset"] + entry["payload_bytes"]]
-        if zlib.crc32(segment_payload) & _U32_MAX != \
-                entry.get("payload_crc32"):
-            problems.append(("payload", f"{name}: payload CRC mismatch"))
-            continue
-        segment_offsets = offsets[
-            entry["offsets_offset"]:
-            entry["offsets_offset"] + entry["offsets_bytes"]]
-        if zlib.crc32(segment_offsets) & _U32_MAX != \
-                entry.get("offsets_crc32"):
-            problems.append(("offsets", f"{name}: offsets CRC mismatch"))
-            continue
+        payload_at = entry["payload_offset"]
+        offsets_at = entry["offsets_offset"]
+        edges = entry["edges"]
         span = entry["span"]
-        if len(segment_offsets) != 4 * (span + 1):
-            problems.append(("offsets",
-                             f"{name}: offsets array truncated"))
-            continue
-        if entry["base"] + span > high_node:
+        segment_payload = payload_view[
+            payload_at:payload_at + entry["payload_bytes"]]
+        segment_offsets = offsets_view[
+            offsets_at:offsets_at + entry["offsets_bytes"]]
+        if zlib.crc32(segment_payload) != entry.get("payload_crc32"):
+            problems.append(("payload", f"{name}: payload CRC mismatch",
+                             payload_at))
+        elif len(segment_payload) != 8 * edges:
+            problems.append(("payload",
+                             f"{name}: columns are "
+                             f"{len(segment_payload)} bytes, {edges} "
+                             f"entries need {8 * edges}", payload_at))
+        elif zlib.crc32(segment_offsets) != entry.get("offsets_crc32"):
+            problems.append(("offsets", f"{name}: offsets CRC mismatch",
+                             offsets_at))
+        elif len(segment_offsets) != 4 * (span + 1):
+            problems.append(("offsets", f"{name}: offsets array truncated",
+                             offsets_at))
+        elif entry["base"] + span > high_node:
             problems.append(("offsets",
                              f"{name}: covers node ids past the node "
                              f"store ({entry['base'] + span} > "
-                             f"{high_node})"))
-            continue
-        bounds = struct.unpack_from(f"<{span + 1}I", segment_offsets)
-        if bounds[-1] != entry["payload_bytes"]:
-            problems.append(("offsets",
-                             f"{name}: final offset {bounds[-1]} != "
-                             f"payload extent {entry['payload_bytes']}"))
-            continue
-        edges = 0
-        previous = 0
-        for index in range(span):
-            start, end = bounds[index], bounds[index + 1]
-            if start < previous or end < start:
+                             f"{high_node})", offsets_at))
+        else:
+            bounds = list(_u32(segment_offsets))
+            neighbours = _u32(segment_payload[:4 * edges])
+            edge_ids = _u32(segment_payload[4 * edges:])
+            if bounds != sorted(bounds):
+                index = next(index for index in range(span)
+                             if bounds[index] > bounds[index + 1])
                 problems.append(("offsets",
                                  f"{name}: offsets not monotonic at "
-                                 f"node {entry['base'] + index}"))
-                break
-            previous = start
-            if start == end:
-                continue
-            try:
-                pairs, consumed = records.decode_pair_run(
-                    segment_payload[start:end])
-            except StoreFormatError as error:
+                                 f"node {entry['base'] + index} "
+                                 f"(element {index})",
+                                 offsets_at + 4 * index))
+            elif bounds[0] != 0 or bounds[-1] != edges:
+                problems.append(("offsets",
+                                 f"{name}: offsets span [{bounds[0]}, "
+                                 f"{bounds[-1]}), not the {edges} "
+                                 "entries of the columns", offsets_at))
+            elif edges and max(neighbours) >= high_node:
+                index = _first_at_or_above(neighbours, high_node)
                 problems.append(("payload",
-                                 f"{name}: node {entry['base'] + index} "
-                                 f"run undecodable: {error}"))
-                break
-            if consumed != end - start:
+                                 f"{name}: neighbor id "
+                                 f"{neighbours[index]} out of range "
+                                 f"(element {index})",
+                                 payload_at + 4 * index))
+            elif edges and max(edge_ids) >= rel_high:
+                index = _first_at_or_above(edge_ids, rel_high)
                 problems.append(("payload",
-                                 f"{name}: node {entry['base'] + index} "
-                                 "run has trailing bytes"))
-                break
-            edges += len(pairs)
-            for edge_id, neighbor in pairs:
-                if not 0 <= edge_id < rel_high:
-                    problems.append(
-                        ("payload", f"{name}: edge id {edge_id} out of "
-                         f"range at node {entry['base'] + index}"))
-                    break
-                if not 0 <= neighbor < high_node:
-                    problems.append(
-                        ("payload", f"{name}: neighbor id {neighbor} "
-                         f"out of range at node "
-                         f"{entry['base'] + index}"))
-                    break
-            else:
-                continue
-            break
-        else:
-            if edges != entry.get("edges"):
-                problems.append(
-                    ("payload", f"{name}: {edges} edges decoded, "
-                     f"descriptor says {entry.get('edges')}"))
+                                 f"{name}: edge id {edge_ids[index]} "
+                                 f"out of range (element {index})",
+                                 payload_at + 4 * (edges + index)))
     return problems
 
 

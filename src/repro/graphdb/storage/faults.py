@@ -9,8 +9,9 @@ Two cooperating pieces:
   writer at an exact step (:class:`InjectedCrash`) or hand back a
   :class:`FaultyFile` that tears, flips, truncates or EIO-fails the
   write stream.
-* on-disk helpers (:func:`flip_byte`, :func:`truncate_file`) — damage
-  finished stores for ``GraphStore.verify`` / ``frappe fsck`` tests.
+* on-disk helpers (:func:`flip_byte`, :func:`truncate_file`,
+  :func:`stamp_csr_layout`) — damage or age finished stores for
+  ``GraphStore.verify`` / ``frappe fsck`` tests.
 
 The crash-at-every-step protocol: run one write with a plain injector
 (it records the checkpoint labels it saw), then re-run once per label
@@ -26,6 +27,7 @@ clause can accidentally swallow a simulated crash.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import zlib
 from typing import Any, Iterable
@@ -252,6 +254,31 @@ def corrupt_boundary_table(shard_root: str, shard: int = 0,
     path = os.path.join(shard_root, f"boundary-{shard:03d}.json")
     flip_byte(path, offset, xor_mask)
     return path
+
+
+def stamp_csr_layout(directory: str, version: int) -> None:
+    """Make a store claim another compiled-CSR layout version.
+
+    Rewrites the ``"csr"`` descriptor's ``version`` in
+    ``metadata.json`` and re-seals that file's manifest entry, which
+    is what a store written before (or after) this build's layout
+    looks like to ``open`` and ``fsck``: checksums agree, the layout
+    is not the one the reader decodes.
+    """
+    metadata_path = os.path.join(directory, "metadata.json")
+    with open(metadata_path, encoding="utf-8") as handle:
+        metadata = json.load(handle)
+    metadata["csr"]["version"] = version
+    with open(metadata_path, "w", encoding="utf-8") as handle:
+        json.dump(metadata, handle)
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    manifest["files"]["metadata.json"] = {
+        "size": os.path.getsize(metadata_path),
+        "crc32": crc32_of(metadata_path)}
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
 
 
 def checkpoint_labels(run: Iterable[str]) -> list[str]:

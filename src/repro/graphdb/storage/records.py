@@ -285,143 +285,6 @@ def decode_string_run_length(header: bytes) -> int:
 
 
 # --------------------------------------------------------------------------
-# Varint / zigzag primitives (CSR delta runs)
-# --------------------------------------------------------------------------
-
-def encode_uvarint(value: int) -> bytes:
-    """LEB128 unsigned varint."""
-    if value < 0:
-        raise ValueError(f"uvarint cannot encode {value}")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def decode_uvarint(buffer: bytes, offset: int = 0) -> tuple[int, int]:
-    """Decode one uvarint; returns (value, next offset)."""
-    result = 0
-    shift = 0
-    length = len(buffer)
-    while True:
-        if offset >= length:
-            raise StoreFormatError("uvarint truncated")
-        byte = buffer[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
-        if shift > 70:
-            raise StoreFormatError("uvarint too long")
-
-
-def zigzag(value: int) -> int:
-    """Map a signed delta to an unsigned varint-friendly value."""
-    return (value << 1) ^ (value >> 63) if value >= 0 else \
-        ((-value) << 1) - 1
-
-
-def unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
-# --------------------------------------------------------------------------
-# CSR pair runs
-# --------------------------------------------------------------------------
-#
-# One run serializes a node's (edge id, neighbor id) pairs for a single
-# (direction, edge-type) CSR segment, order-preserving::
-#
-#     uvarint  count
-#     count ×  zigzag-varint edge-id delta      (vs previous edge id)
-#     count ×  zigzag-varint neighbor-id delta  (vs previous neighbor)
-#
-# Edge ids within one adjacency group are ascending (insertion order of
-# an append-only build), so the deltas are small and the run compresses
-# to a byte or two per edge — the paper's "compact representation"
-# argument made concrete.
-
-def encode_pair_run(pairs: Sequence[tuple[int, int]]) -> bytes:
-    parts = [encode_uvarint(len(pairs))]
-    previous = 0
-    for edge_id, _neighbor in pairs:
-        parts.append(encode_uvarint(zigzag(edge_id - previous)))
-        previous = edge_id
-    previous = 0
-    for _edge, neighbor in pairs:
-        parts.append(encode_uvarint(zigzag(neighbor - previous)))
-        previous = neighbor
-    return b"".join(parts)
-
-
-def decode_pair_run(buffer: bytes,
-                    offset: int = 0) -> tuple[list[tuple[int, int]], int]:
-    """Decode one pair run; returns (pairs, next offset)."""
-    count, offset = decode_uvarint(buffer, offset)
-    length = len(buffer)
-    if count == 1:
-        # single-pair fast path: the overwhelmingly common run shape,
-        # decoded without the list/zip scaffolding of the general case
-        pair = []
-        for _ in range(2):
-            result = 0
-            shift = 0
-            while True:
-                if offset >= length:
-                    raise StoreFormatError("CSR pair run truncated")
-                byte = buffer[offset]
-                offset += 1
-                result |= (byte & 0x7F) << shift
-                if not byte & 0x80:
-                    break
-                shift += 7
-            pair.append((result >> 1) ^ -(result & 1))
-        return [(pair[0], pair[1])], offset
-    edges: list[int] = []
-    append_edge = edges.append
-    value = 0
-    for _ in range(count):
-        # inlined uvarint decode: this is the hot cold-read loop
-        result = 0
-        shift = 0
-        while True:
-            if offset >= length:
-                raise StoreFormatError("CSR pair run truncated")
-            byte = buffer[offset]
-            offset += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        value += (result >> 1) ^ -(result & 1)
-        append_edge(value)
-    neighbors: list[int] = []
-    append_neighbor = neighbors.append
-    value = 0
-    for _ in range(count):
-        result = 0
-        shift = 0
-        while True:
-            if offset >= length:
-                raise StoreFormatError("CSR pair run truncated")
-            byte = buffer[offset]
-            offset += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        value += (result >> 1) ^ -(result & 1)
-        append_neighbor(value)
-    return list(zip(edges, neighbors)), offset
-
-
-# --------------------------------------------------------------------------
 # Dictionary page
 # --------------------------------------------------------------------------
 #

@@ -750,6 +750,13 @@ class ShardedStore:
         return self._node_shard(node_id).neighbors_of(node_id,
                                                       direction, types)
 
+    def neighbor_ids_of(self, node_id: int,
+                        direction: Direction = Direction.BOTH,
+                        types: Collection[str] | None = None,
+                        ) -> Collection[int]:
+        return self._node_shard(node_id).neighbor_ids_of(
+            node_id, direction, types)
+
     @property
     def indexes(self) -> ShardedIndexes:
         return self._indexes
@@ -836,7 +843,7 @@ def frontier_exchange(store: ShardedStore, sources: Iterable[int],
         for shard, nodes in sorted(by_shard.items()):
             for node_id in nodes:
                 db_hits += 1
-                for _edge, neighbor in store.neighbors_of(
+                for neighbor in store.neighbor_ids_of(
                         node_id, direction, types):
                     if neighbor in visited:
                         continue

@@ -46,7 +46,7 @@ from repro.graphdb.stats import GraphStatistics
 from repro.graphdb.storage import csr as csr_mod
 from repro.graphdb.storage import records
 from repro.graphdb.storage.pagecache import PageCache, PagedFile
-from repro.graphdb.view import Direction, GraphView
+from repro.graphdb.view import Direction, GraphView, other_end
 
 MAGIC = "frappe-graph-store"
 #: Format 3 added the compiled CSR adjacency segments and the string
@@ -432,10 +432,11 @@ class GraphStore:
 
         # adjacency store + compiled CSR segments ------------------------
         # Node ids ascend, so the same pass that serializes each node's
-        # adjacency block appends its (edge id, neighbor id) runs to
-        # the per-(direction, type) CSR segments — ghost replicas
-        # included, exactly like their adjacency blocks, which is what
-        # keeps shard-local one-hop expansion on the compiled path.
+        # adjacency block appends its edge ids, and the neighbours
+        # they lead to, onto the per-(direction, type) CSR columns —
+        # ghost replicas included, exactly like their adjacency blocks,
+        # which is what keeps shard-local one-hop expansion on the
+        # compiled path.
         adj_path = os.path.join(directory, ADJ_FILE)
         adjacency: dict[int, tuple[int, int]] = {}
         csr_builder = csr_mod.CsrBuilder() if compiled else None
@@ -455,13 +456,10 @@ class GraphStore:
                 for direction, groups in ((csr_mod.OUT, out_groups),
                                           (csr_mod.IN, in_groups)):
                     for token, edge_ids in groups:
-                        pairs = []
-                        for edge_id in edge_ids:
-                            source = graph.edge_source(edge_id)
-                            pairs.append(
-                                (edge_id, source if source != node_id
-                                 else graph.edge_target(edge_id)))
-                        csr_builder.add(node_id, direction, token, pairs)
+                        csr_builder.add(
+                            node_id, direction, token, edge_ids,
+                            [other_end(graph, edge_id, node_id)
+                             for edge_id in edge_ids])
 
         checkpoint("adjacency_written")
 
@@ -1014,12 +1012,14 @@ class GraphStore:
                 csr_offsets = load(CSR_OFFSETS_FILE)
                 if csr_payload is not None and csr_offsets is not None:
                     try:
-                        for kind, message in csr_mod.verify_descriptor(
-                                csr_descriptor, csr_payload, csr_offsets,
-                                high_node, high_edge):
+                        for kind, message, offset in \
+                                csr_mod.verify_descriptor(
+                                    csr_descriptor, csr_payload,
+                                    csr_offsets, high_node, high_edge):
                             problems.append(StoreProblem(
                                 CSR_FILE if kind == "payload"
-                                else CSR_OFFSETS_FILE, "csr", message))
+                                else CSR_OFFSETS_FILE, "csr", message,
+                                offset=offset))
                     except (KeyError, TypeError, ValueError) as error:
                         problems.append(StoreProblem(
                             CSR_FILE, "csr",
@@ -1332,11 +1332,26 @@ DEFAULT_RECORD_CACHE_CAPACITY = 262_144
 
 _LOG = logging.getLogger("repro.storage")
 
+#: the parts of a node's adjacency ``StoreGraph._neighbor_cache``
+#: holds: csr.db's two columns, and their zip
+_NEIGHBOURS, _EDGE_IDS, _PAIRS = 0, 1, 2
+
+#: the CSR segment directions a view-level direction reads, in
+#: ``edges_of`` order
+_CSR_DIRECTIONS = {Direction.OUT: (csr_mod.OUT,),
+                   Direction.IN: (csr_mod.IN,),
+                   Direction.BOTH: (csr_mod.OUT, csr_mod.IN)}
+
 
 def _csr_open_check(directory: str,
                     descriptor: dict[str, Any]) -> str | None:
     """Why a store's compiled CSR cannot be served, or None when the
-    descriptor and both file sizes agree (O(1): contents are fsck's)."""
+    descriptor is of the one layout this build reads and both file
+    sizes agree (O(1): contents are fsck's)."""
+    layout = descriptor.get("version") \
+        if isinstance(descriptor, dict) else None
+    if layout != csr_mod.CSR_DESCRIPTOR_VERSION:
+        return f"csr layout {layout}, run `frappe compact`"
     for name, key in ((CSR_FILE, "payload_bytes"),
                       (CSR_OFFSETS_FILE, "offsets_bytes")):
         try:
@@ -1356,8 +1371,8 @@ class _FIFOCache(dict):
 
     A :class:`StoreGraph` holds six: node records, rel records,
     adjacency blocks, node and edge property blocks, and resolved
-    ``(edge, neighbour)`` lists.  They are the only decoded-object
-    state between a query and the page cache, and
+    adjacency (neighbour ids, edge ids and their pairs).  They are
+    the only per-record state between a query and the page cache, and
     :meth:`StoreGraph.evict_caches` empties all of them.
 
     FIFO rather than LRU on purpose: get stays a plain dict lookup (no
@@ -1375,9 +1390,9 @@ class _FIFOCache(dict):
         self.capacity = capacity
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        if key not in self and len(self) >= self.capacity:
+        if len(self) >= self.capacity and key not in self:
             del self[next(iter(self))]
-        super().__setitem__(key, value)
+        dict.__setitem__(self, key, value)
 
 
 class StoreGraph:
@@ -1464,7 +1479,7 @@ class StoreGraph:
                 self._csr_offsets_file = paged(CSR_OFFSETS_FILE)
                 self._csr_reader = csr_mod.CsrReader(
                     self._csr_payload_file, self._csr_offsets_file,
-                    csr_descriptor)
+                    csr_descriptor, self._high_node, self._high_edge)
             else:
                 _LOG.warning(
                     "store %s: compiled CSR unusable (%s); serving "
@@ -1488,13 +1503,16 @@ class StoreGraph:
             _FIFOCache(capacity)
         self._edge_prop_cache: dict[int, dict[str, Any]] = \
             _FIFOCache(capacity)
-        # resolved (edge, other_end) adjacency lists keyed on
-        # (node, direction, types); the store is immutable once open,
-        # so these survive across queries (the batch executor's
-        # expansion kernels are pure lookups on a warm store)
-        self._neighbor_pair_cache: dict[
-            tuple[int, Any, tuple[str, ...] | None],
-            list[tuple[int, int]]] = _FIFOCache(capacity)
+        # resolved adjacency read so far, keyed (node, direction,
+        # types, part): neighbour ids, edge ids, (edge, neighbour)
+        # pairs — each cached when first asked for.  On a compiled
+        # store the two columns are the CSR runs as stored (u32
+        # views, nothing decoded) — what the cache saves a warm query
+        # is the page-cache round trip per run, which measured 3.6 us
+        # against 0.7 us for the hit (CHANGES, PR 15)
+        self._neighbor_cache: dict[
+            tuple[int, Any, tuple[str, ...] | None, int],
+            Collection[Any]] = _FIFOCache(capacity)
         # planner statistics: exact counts when the writer recorded
         # them, estimates (uniform edge-type split) for older stores.
         label_counts = metadata.get("label_counts")
@@ -1552,7 +1570,7 @@ class StoreGraph:
         self._adj_cache.clear()
         self._node_prop_cache.clear()
         self._edge_prop_cache.clear()
-        self._neighbor_pair_cache.clear()
+        self._neighbor_cache.clear()
         # compiled-layer caches: memoized index universe, CSR offset
         # views, decoded dictionary entries
         self._indexes.evict_caches()
@@ -1563,16 +1581,18 @@ class StoreGraph:
 
     def close(self) -> None:
         """Release every underlying file; safe to call twice."""
+        # views into the mappings go first, so the mappings can close
+        self._neighbor_cache.clear()
+        if self._csr_reader is not None:
+            self._csr_reader.evict()
+        self._dict_buffer = None
+        self._dict_values = None
         for paged_file in (self._nodes, self._rels, self._adj,
                            self._props, self._strings,
                            self._csr_payload_file,
                            self._csr_offsets_file, self._dict_file):
             if paged_file is not None:
                 paged_file.close()
-        if self._csr_reader is not None:
-            self._csr_reader.evict()
-        self._dict_buffer = None
-        self._dict_values = None
         self._indexes.close()
 
     def __enter__(self) -> "StoreGraph":
@@ -1700,24 +1720,41 @@ class StoreGraph:
 
     # -- GraphView: adjacency ------------------------------------------------------------
 
+    def _wanted_tokens(self, types: Collection[str] | None,
+                       ) -> list[int] | None:
+        """Tokens of the edge types in *types* this store knows,
+        ascending (None = no type filter)."""
+        if types is None:
+            return None
+        tokens = self._type_token_by_name
+        wanted = [tokens[name] for name in types if name in tokens]
+        return sorted(set(wanted)) if len(wanted) > 1 else wanted
+
+    def _csr_read(self, read: Callable[..., Any], node_id: int,
+                  direction: Direction,
+                  types: Collection[str] | None) -> Any:
+        """What *read* (a :class:`CsrReader` accessor) finds for
+        *node_id*, in ``edges_of`` group order: out then in, tokens
+        ascending."""
+        self._fault_counter.inc()
+        found = read(node_id, _CSR_DIRECTIONS[direction],
+                     self._wanted_tokens(types))
+        if not found:
+            self._live_node(node_id)  # dead ids must still raise
+        return found
+
     def edges_of(self, node_id: int,
                  direction: Direction = Direction.BOTH,
                  types: Collection[str] | None = None) -> Iterator[int]:
         if types is not None and self._csr_reader is not None:
-            # typed scan over a compiled store: only the wanted
-            # (direction, type) CSR runs are decoded — the full
-            # adjacency block is never assembled.  neighbors_of yields
-            # pairs in exactly this method's group order (out then in,
-            # tokens ascending), so the edge-id sequence is identical.
-            for edge_id, _neighbor in self.neighbors_of(
-                    node_id, direction, types):
-                yield edge_id
+            # typed scan over a compiled store: only the edge-id
+            # column of the wanted (direction, type) runs is read —
+            # the full adjacency block is never assembled
+            yield from self._cached_adjacency(node_id, direction, types,
+                                             _EDGE_IDS)
             return
         out_groups, in_groups = self._adjacency(node_id)
-        wanted = None
-        if types is not None:
-            wanted = {self._type_token_by_name[name] for name in types
-                      if name in self._type_token_by_name}
+        wanted = self._wanted_tokens(types)
         if direction in (Direction.OUT, Direction.BOTH):
             for token, edge_ids in out_groups:
                 if wanted is None or token in wanted:
@@ -1731,12 +1768,11 @@ class StoreGraph:
                direction: Direction = Direction.BOTH,
                types: Collection[str] | None = None) -> int:
         if types is not None and self._csr_reader is not None:
-            return len(self.neighbors_of(node_id, direction, types))
+            # a difference of two offsets per run: no csr.db page
+            return self._csr_read(self._csr_reader.degree, node_id,
+                                  direction, types)
         out_groups, in_groups = self._adjacency(node_id)
-        wanted = None
-        if types is not None:
-            wanted = {self._type_token_by_name[name] for name in types
-                      if name in self._type_token_by_name}
+        wanted = self._wanted_tokens(types)
         total = 0
         if direction in (Direction.OUT, Direction.BOTH):
             total += sum(len(edge_ids) for token, edge_ids in out_groups
@@ -1773,55 +1809,71 @@ class StoreGraph:
             self._object_hit_counter.inc(hits)
         return pairs
 
+    def _cached_adjacency(self, node_id: int, direction: Direction,
+                          types: Collection[str] | None,
+                          part: int) -> Any:
+        """*node_id*'s neighbour ids, edge ids or ``(edge, neighbour)``
+        pairs (*part*) in ``edges_of`` order — from the cache when an
+        earlier call read them: the store is immutable once open, so
+        nothing cached goes stale.
+
+        A compiled store reads only the CSR column asked for and
+        keeps it as stored (a single run is the ``u32`` view itself),
+        and its pairs are a zip of the two columns; the record path
+        resolves the far ends from the rel records."""
+        if types is not None and not isinstance(types, tuple):
+            types = tuple(types)
+        cache = self._neighbor_cache
+        key = (node_id, direction, types, part)
+        found = cache.get(key)
+        if found is not None:
+            self._object_hit_counter.inc()
+            return found
+        reader = self._csr_reader
+        if reader is None and part == _EDGE_IDS:
+            found = tuple(self.edges_of(node_id, direction, types))
+        elif reader is None:
+            found = self.resolve_neighbors(
+                node_id, self._cached_adjacency(node_id, direction, types,
+                                                _EDGE_IDS))
+            if part == _NEIGHBOURS:
+                found = [neighbor for _edge, neighbor in found]
+        elif part == _PAIRS:
+            found = list(zip(
+                self._cached_adjacency(node_id, direction, types,
+                                       _EDGE_IDS),
+                self._cached_adjacency(node_id, direction, types,
+                                       _NEIGHBOURS)))
+        else:
+            runs = self._csr_read(
+                reader.edge_ids if part == _EDGE_IDS
+                else reader.neighbor_ids, node_id, direction, types)
+            found = runs[0] if len(runs) == 1 else \
+                [value for run in runs for value in run]
+        cache[key] = found
+        return found
+
     def neighbors_of(self, node_id: int,
                      direction: Direction = Direction.BOTH,
                      types: Collection[str] | None = None,
                      ) -> list[tuple[int, int]]:
-        """Resolved ``(edge_id, other_end)`` adjacency, cached across
-        queries.
+        """Resolved ``(edge_id, other_end)`` adjacency, in ``edges_of``
+        order, cached across queries.
 
-        The store is immutable once open, so the resolved list for a
-        (node, direction, types) key never goes stale; traversal-heavy
-        queries over a warm store degrade to one dict lookup per
-        visited node. Logical-access accounting (db-hits) stays with
-        the caller — the executor charges per query, cached or not —
-        while the object-cache counters here keep reflecting physical
-        decode work."""
-        if types is not None and not isinstance(types, tuple):
-            types = tuple(types)
-        key = (node_id, direction, types)
-        cached = self._neighbor_pair_cache.get(key)
-        if cached is not None:
-            self._object_hit_counter.inc()
-            return cached
-        reader = self._csr_reader
-        if reader is not None:
-            # compiled fast path: the (edge, neighbor) pairs are already
-            # materialized in the CSR runs — no node record, adjacency
-            # block or rel-record decode per edge.  Group order (out
-            # then in, tokens ascending) matches edges_of ∘
-            # resolve_neighbors exactly.
-            self._fault_counter.inc()
-            wanted = None
-            if types is not None:
-                wanted = {self._type_token_by_name[name] for name in types
-                          if name in self._type_token_by_name}
-            pairs = []
-            if direction in (Direction.OUT, Direction.BOTH):
-                for _token, run in reader.groups(node_id, csr_mod.OUT,
-                                                 wanted):
-                    pairs.extend(run)
-            if direction in (Direction.IN, Direction.BOTH):
-                for _token, run in reader.groups(node_id, csr_mod.IN,
-                                                 wanted):
-                    pairs.extend(run)
-            if not pairs:
-                self._live_node(node_id)  # dead ids must still raise
-        else:
-            pairs = self.resolve_neighbors(
-                node_id, tuple(self.edges_of(node_id, direction, types)))
-        self._neighbor_pair_cache[key] = pairs
-        return pairs
+        Logical-access accounting (db-hits) stays with the caller —
+        the executor charges per query, cached or not — while the
+        object-cache counters here keep reflecting physical reads."""
+        return self._cached_adjacency(node_id, direction, types, _PAIRS)
+
+    def neighbor_ids_of(self, node_id: int,
+                        direction: Direction = Direction.BOTH,
+                        types: Collection[str] | None = None,
+                        ) -> Collection[int]:
+        """The neighbours of :meth:`neighbors_of` without the edges —
+        what a closure reads; on a compiled store the edge-id column
+        is not touched."""
+        return self._cached_adjacency(node_id, direction, types,
+                                     _NEIGHBOURS)
 
     @property
     def indexes(self) -> StoreIndexes:

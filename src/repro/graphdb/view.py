@@ -157,10 +157,22 @@ def neighbor_pairs(view: GraphView, node_id: int,
             for edge_id in view.edges_of(node_id, direction, types)]
 
 
-def neighbors(view: GraphView, node_id: int,
-              direction: Direction = Direction.BOTH,
-              types: Collection[str] | None = None) -> Iterator[int]:
-    """Neighbor node ids of *node_id* (with multiplicity, as Neo4j does)."""
-    for _edge_id, neighbor in neighbor_pairs(view, node_id, direction,
-                                             types):
-        yield neighbor
+def neighbor_ids(view: GraphView, node_id: int,
+                 direction: Direction = Direction.BOTH,
+                 types: Collection[str] | None = None,
+                 ) -> Collection[int]:
+    """Neighbor node ids of *node_id* (with multiplicity, as Neo4j
+    does), in ``edges_of`` order: :func:`neighbor_pairs` without the
+    edges.
+
+    What a traversal that never looks at the edge reads — closures,
+    reachability, cycles.  Same rule as the pairs: a view that stores
+    the neighbours as a column of their own (``neighbor_ids_of`` — the
+    disk store's compiled CSR) hands that over, so the edge ids are
+    not read at all; any other view's are taken off its pairs.
+    """
+    bulk = getattr(view, "neighbor_ids_of", None)
+    if bulk is not None:
+        return bulk(node_id, direction, types)
+    return [neighbor for _edge_id, neighbor
+            in neighbor_pairs(view, node_id, direction, types)]

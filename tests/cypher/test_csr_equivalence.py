@@ -27,7 +27,7 @@ from repro.cypher import QueryOptions
 from repro.graphdb import Direction, PropertyGraph
 from repro.graphdb.storage import GraphStore, ShardedStore, split_store
 from repro.graphdb.storage import store as store_mod
-from repro.graphdb.view import neighbor_pairs, other_end
+from repro.graphdb.view import neighbor_ids, neighbor_pairs, other_end
 
 _NAMES = ["alpha", "beta", "gamma"]
 _EDGE_TYPES = ["calls", "reads", "writes"]
@@ -183,8 +183,9 @@ class TestCompiledCsrEquivalence:
     def test_neighbor_pairs_identical_on_every_view(self, graph):
         """What ``algo``/``Traversal`` read: on every view type the
         pairs are that view's ``edges_of`` order with ``other_end``
-        applied, every store serves one order, and the in-memory
-        graph holds the same pairs."""
+        applied and the ids are the pairs' neighbours, every store
+        serves one order, and the in-memory graph holds the same
+        pairs."""
         _plant_subtrees(graph)
         directory = tempfile.mkdtemp(prefix="csr-equiv-")
         damaged = directory + "-damaged"
@@ -215,6 +216,13 @@ class TestCompiledCsrEquivalence:
                                 (edge, other_end(view, edge, node_id))
                                 for edge in view.edges_of(
                                     node_id, direction, types)]
+                            # the ids a closure reads are the pairs
+                            # without the edges, on every view
+                            assert list(neighbor_ids(
+                                view, node_id, direction, types)) == \
+                                [neighbor for _edge, neighbor in pairs]
+                            assert view.degree(node_id, direction,
+                                               types) == len(pairs)
                             observed.append(pairs)
                         assert all(other == observed[1]
                                    for other in observed[2:])

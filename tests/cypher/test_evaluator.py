@@ -177,3 +177,59 @@ class TestExecutionContext:
     def test_non_boolean_in_logical_rejected(self, ctx):
         with pytest.raises(CypherSemanticError):
             ev("1 AND true", ctx)
+
+
+class _Hits:
+    """Stands in for the PROFILE operator frame: counts db-hits."""
+
+    def __init__(self):
+        self.total = 0
+
+    def hit(self, count=1):
+        self.total += count
+
+
+class TestNeighborIdAccounting:
+    """``neighbor_ids`` and ``neighbors`` are two reads of one logical
+    adjacency access: whichever a query issues first is charged, once
+    per (node, direction, types), on every kind of view."""
+
+    @pytest.fixture
+    def graph(self):
+        g = PropertyGraph()
+        for name in "abc":
+            g.add_node("function", short_name=name)
+        g.add_edge(0, 1, "calls")
+        g.add_edge(0, 2, "calls")
+        g.add_edge(0, 2, "reads")
+        return g
+
+    @pytest.fixture(params=["memory", "compiled", "records"])
+    def view(self, request, graph, tmp_path):
+        if request.param == "memory":
+            yield graph
+            return
+        from repro.graphdb.storage import GraphStore
+        directory = str(tmp_path / "store")
+        GraphStore.write(graph, directory)
+        with GraphStore.open(
+                directory,
+                use_compiled_csr=request.param == "compiled") as store:
+            yield store
+
+    @pytest.mark.parametrize("ids_first", [True, False])
+    def test_charged_once_whichever_reads_first(self, view, ids_first):
+        from repro.graphdb import Direction
+        hits = _Hits()
+        ctx = ExecutionContext(view, profiler=hits)
+        key = (0, Direction.OUT, ("calls",))
+        reads = [ctx.neighbor_ids, ctx.neighbors]
+        for read in reads if ids_first else reversed(reads):
+            read(*key)
+            assert hits.total == 2
+        assert list(ctx.neighbor_ids(*key)) == [1, 2]
+        assert [n for _e, n in ctx.neighbors(*key)] == [1, 2]
+        assert hits.total == 2
+        # a node with no such edges still costs the one look
+        assert list(ctx.neighbor_ids(1, Direction.OUT, ("calls",))) == []
+        assert hits.total == 3

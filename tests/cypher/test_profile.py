@@ -7,6 +7,8 @@ var-length expand operator, and a store-backed warm run's cache hit
 ratio strictly exceeds the cold run's.
 """
 
+import gc
+
 import pytest
 
 from repro.core.frappe import Frappe
@@ -187,6 +189,10 @@ class TestE8Attribution:
         # the Section 6.1 blow-up: with the reachability rewrite off,
         # the var-length expansion enumerates every path
         engine = CypherEngine(layered, use_reachability_rewrite=False)
+        # "hottest" is by wall time: late in a full-suite run a pending
+        # full collection landing inside Distinct has outweighed the
+        # expansion (seen at the parent commit too) — collect first
+        gc.collect()
         result = engine.profile(self.CLOSURE)
         plan = result.profile
         assert len(result) == 20  # closure: 4 layers of 5

@@ -10,19 +10,22 @@ wrong answers, one logged warning) and is repairable by ``compact``.
 import json
 import logging
 import os
+import zlib
 
 import pytest
 
 from repro.core.config import StoreConfig
 from repro.core.frappe import Frappe
 from repro.errors import (EdgeNotFoundError, NodeNotFoundError,
-                          StoreFormatError)
+                          StoreCorruptionError, StoreFormatError)
 from repro.graphdb import Direction, PropertyGraph, algo
-from repro.graphdb.storage import (GraphStore, PageCache, compact_store,
-                                   records)
+from repro.graphdb.storage import (GraphStore, PageCache, PagedFile,
+                                   compact_store, records)
 from repro.graphdb.storage import csr as csr_mod
 from repro.graphdb.storage import store as store_mod
+from repro.graphdb.storage.faults import stamp_csr_layout
 from repro.graphdb.traversal import TraversalDescription
+from repro.graphdb.view import other_end
 
 
 @pytest.fixture
@@ -54,34 +57,140 @@ def store_dir(tmp_path, sample_graph):
 # Codecs
 # --------------------------------------------------------------------------
 
-class TestPairRunCodec:
-    @pytest.mark.parametrize("pairs", [
-        [(0, 0)],
-        [(5, 2)],                          # count == 1 fast path
-        [(3, 9), (7, 1), (8, 1)],          # non-monotonic neighbors
-        [(10, 10)],                        # self-loop shape
-        [(2 ** 40, 2 ** 35), (2 ** 40 + 1, 0)],  # wide varints
-    ])
-    def test_roundtrip(self, pairs):
-        blob = records.encode_pair_run(pairs)
-        decoded, consumed = records.decode_pair_run(blob)
-        assert decoded == pairs
-        assert consumed == len(blob)
+BOTH = (csr_mod.OUT, csr_mod.IN)
 
-    def test_order_preserved(self):
-        pairs = [(9, 3), (1, 7), (4, 4)]
-        decoded, _ = records.decode_pair_run(records.encode_pair_run(pairs))
-        assert decoded == pairs  # NOT sorted: group order is the contract
 
-    def test_memoryview_input(self):
-        pairs = [(3, 1), (5, 2)]
-        blob = memoryview(records.encode_pair_run(pairs))
-        assert records.decode_pair_run(blob)[0] == pairs
+def _columns_reader(tmp_path, runs, mode="buffered", high_node=100,
+                    rel_high=100):
+    """Build CSR files from ``(node, direction, token, edge ids,
+    neighbours)`` runs and open a reader over them."""
+    builder = csr_mod.CsrBuilder()
+    for run in runs:
+        builder.add(*run)
+    payload, offsets, descriptor = builder.finish()
+    (tmp_path / "csr.db").write_bytes(payload)
+    (tmp_path / "csr.offsets.db").write_bytes(offsets)
+    cache = PageCache(mode=mode)
+    reader = csr_mod.CsrReader(
+        PagedFile(str(tmp_path / "csr.db"), cache),
+        PagedFile(str(tmp_path / "csr.offsets.db"), cache),
+        descriptor, high_node, rel_high)
+    return reader, descriptor, payload, offsets
 
-    def test_truncated_raises(self):
-        blob = records.encode_pair_run([(300, 4000)])
+
+def _lists(runs):
+    return [list(run) for run in runs]
+
+
+class TestCsrColumns:
+    """The fixed-width layout: what the builder appends is what the
+    reader slices, by offset arithmetic alone."""
+
+    RUNS = [
+        (2, csr_mod.OUT, 0, [3, 7, 8], [19, 1, 1]),  # non-monotonic
+        (5, csr_mod.OUT, 0, [10], [5]),             # self-loop shape
+        (5, csr_mod.OUT, 4, [11, 12], [0, 2]),
+        (9, csr_mod.OUT, 0, [40], [2]),
+        (5, csr_mod.IN, 0, [10], [5]),
+    ]
+
+    @pytest.mark.parametrize("mode", ["buffered", "mmap"])
+    def test_roundtrip_in_run_order(self, tmp_path, mode):
+        reader, *_ = _columns_reader(tmp_path, self.RUNS, mode)
+        assert reader._mapped == (mode == "mmap")
+        assert _lists(reader.neighbor_ids(2, (csr_mod.OUT,))) == [[19, 1, 1]]
+        assert _lists(reader.edge_ids(2, (csr_mod.OUT,))) == [[3, 7, 8]]
+        # token-ascending runs, out before in, whatever order is asked
+        assert _lists(reader.edge_ids(5, BOTH)) == [[10], [11, 12], [10]]
+        assert _lists(reader.neighbor_ids(5, BOTH, [0, 4])) == \
+            [[5], [0, 2], [5]]
+        assert _lists(reader.neighbor_ids(5, BOTH, [4])) == [[0, 2]]
+        assert reader.degree(5, BOTH) == 4
+        assert reader.degree(5, (csr_mod.OUT,), [0]) == 1
+
+    @pytest.mark.parametrize("mode", ["buffered", "mmap"])
+    def test_empty_runs_holes_and_uncovered_nodes(self, tmp_path, mode):
+        reader, descriptor, *_ = _columns_reader(tmp_path, self.RUNS, mode)
+        out_calls = descriptor["segments"][0]
+        assert (out_calls["base"], out_calls["span"]) == (2, 8)
+        for node_id in (3, 4, 6, 7, 8):          # holes inside the span
+            assert reader.neighbor_ids(node_id, BOTH) == []
+            assert reader.degree(node_id, BOTH) == 0
+        for node_id in (0, 1, 10, 10 ** 9):      # outside every segment
+            assert reader.edge_ids(node_id, BOTH) == []
+            assert reader.degree(node_id, BOTH) == 0
+        assert reader.neighbor_ids(5, BOTH, [7]) == []  # no such segment
+
+    def test_runs_are_views_of_the_page_bytes(self, tmp_path):
+        reader, *_ = _columns_reader(tmp_path, self.RUNS, "mmap")
+        [run] = reader.neighbor_ids(2, (csr_mod.OUT,))
+        assert isinstance(run, memoryview) and run.format == "I"
+        assert reader._buffer is not None  # one whole-file view
+        reader.evict()
+        assert reader._buffer is None and not reader._views
+
+    def test_memoryview_input_to_verify(self, tmp_path):
+        _reader, descriptor, payload, offsets = _columns_reader(
+            tmp_path, self.RUNS)
+        assert csr_mod.verify_descriptor(
+            descriptor, memoryview(payload), memoryview(offsets),
+            100, 100) == []
+
+    def test_columns_are_fixed_width(self, tmp_path):
+        _reader, descriptor, payload, offsets = _columns_reader(
+            tmp_path, self.RUNS)
+        assert descriptor["version"] == csr_mod.CSR_DESCRIPTOR_VERSION == 2
+        edges = sum(len(run[3]) for run in self.RUNS)
+        assert len(payload) == 2 * 4 * edges
+        assert len(offsets) == sum(
+            4 * (segment["span"] + 1)
+            for segment in descriptor["segments"])
+        assert [segment["edges"] for segment in descriptor["segments"]] \
+            == [5, 2, 1]
+
+    @pytest.mark.parametrize("edge_ids, neighbours", [
+        ([2 ** 32], [1]), ([1], [2 ** 32]), ([-1], [1])])
+    def test_u32_overflow_is_a_format_error(self, edge_ids, neighbours):
+        builder = csr_mod.CsrBuilder()
         with pytest.raises(StoreFormatError):
-            records.decode_pair_run(blob[:-1])
+            builder.add(0, csr_mod.OUT, 0, edge_ids, neighbours)
+
+    def test_descending_nodes_rejected(self):
+        builder = csr_mod.CsrBuilder()
+        builder.add(5, csr_mod.OUT, 0, [1], [2])
+        with pytest.raises(ValueError):
+            builder.add(4, csr_mod.OUT, 0, [2], [3])
+
+    def test_out_of_range_id_is_corruption_at_read_time(self, tmp_path):
+        reader, *_ = _columns_reader(tmp_path, self.RUNS, high_node=19,
+                                     rel_high=40)
+        with pytest.raises(StoreCorruptionError) as neighbour:
+            reader.neighbor_ids(2, (csr_mod.OUT,))   # holds node 19
+        assert neighbour.value.file.endswith("csr.db")
+        with pytest.raises(StoreCorruptionError) as edge:
+            reader.edge_ids(9, (csr_mod.OUT,))       # holds edge 40
+        assert edge.value.file.endswith("csr.db")
+        assert _lists(reader.edge_ids(2, (csr_mod.OUT,))) == [[3, 7, 8]]
+
+    def test_verify_names_file_and_element(self, tmp_path):
+        _reader, descriptor, payload, offsets = _columns_reader(
+            tmp_path, self.RUNS)
+        [(kind, message, offset)] = csr_mod.verify_descriptor(
+            descriptor, payload, offsets, 19, 100)
+        assert (kind, offset) == ("payload", 0)
+        assert "neighbor id 19" in message and "element 0" in message
+        [(kind, message, offset)] = csr_mod.verify_descriptor(
+            descriptor, payload, offsets, 100, 40)
+        assert kind == "payload" and "edge id 40" in message
+        assert offset == 4 * (5 + 4)  # edge column, element 4
+        damaged = bytearray(offsets)
+        damaged[4:8] = (7).to_bytes(4, "little")  # 0, 7, 3, ...
+        descriptor["segments"][0]["offsets_crc32"] = \
+            zlib.crc32(bytes(damaged[:36]))
+        [(kind, message, offset)] = csr_mod.verify_descriptor(
+            descriptor, payload, bytes(damaged), 100, 100)
+        assert (kind, offset) == ("offsets", 4)
+        assert "not monotonic at node 3" in message
 
 
 class TestDictionaryCodec:
@@ -109,20 +218,25 @@ class TestDictionaryCodec:
 # --------------------------------------------------------------------------
 
 class TestCsrRoundTrip:
-    def test_groups_match_record_adjacency(self, sample_graph, store_dir):
+    def test_columns_match_record_adjacency(self, sample_graph, store_dir):
         with GraphStore.open(store_dir) as sg:
             reader = sg._csr_reader
             assert reader is not None
             for node_id in sample_graph.node_ids():
                 out_groups, in_groups = sg._decode_adjacency_groups(node_id)
-                compiled_out = [
-                    (token, tuple(e for e, _n in pairs))
-                    for token, pairs in reader.groups(node_id, csr_mod.OUT)]
-                compiled_in = [
-                    (token, tuple(e for e, _n in pairs))
-                    for token, pairs in reader.groups(node_id, csr_mod.IN)]
-                assert compiled_out == list(out_groups)
-                assert compiled_in == list(in_groups)
+                for direction, groups in ((csr_mod.OUT, out_groups),
+                                          (csr_mod.IN, in_groups)):
+                    assert _lists(reader.edge_ids(
+                        node_id, (direction,))) == [
+                            list(edge_ids) for _token, edge_ids in groups]
+                    for token, edge_ids in groups:
+                        [neighbours] = reader.neighbor_ids(
+                            node_id, (direction,), [token])
+                        assert list(neighbours) == [
+                            sample_graph.edge_target(edge)
+                            if direction == csr_mod.OUT
+                            else sample_graph.edge_source(edge)
+                            for edge in edge_ids]
 
     def test_neighbors_carry_correct_endpoints(self, sample_graph,
                                                store_dir):
@@ -150,11 +264,30 @@ class TestCsrRoundTrip:
                             list(fallback.edges_of(
                                 node_id, direction, types))
 
-    def test_degree_typed(self, sample_graph, store_dir):
+    def test_typed_degree_identical_and_reads_no_column(self, store_dir):
+        """Degree is a difference of two offsets: csr.db stays cold."""
+        with GraphStore.open(store_dir) as compiled, \
+                GraphStore.open(store_dir,
+                                use_compiled_csr=False) as fallback:
+            compiled.evict_caches()
+            for node_id in compiled.node_ids():
+                for types in (("calls",), ("reads", "calls"),
+                              ("no_such_type",)):
+                    for direction in Direction:
+                        assert compiled.degree(node_id, direction, types) \
+                            == fallback.degree(node_id, direction, types)
+            assert _pages_read(compiled, compiled._csr_offsets_file) > 0
+            assert _pages_read(compiled, compiled._csr_payload_file) == 0
+            # the check bites: the other typed reads do fault csr.db in
+            list(compiled.edges_of(1, Direction.OUT, ("calls",)))
+            assert _pages_read(compiled, compiled._csr_payload_file) > 0
+
+    def test_typed_edges_of_reads_the_edge_column_only(self, store_dir):
         with GraphStore.open(store_dir) as sg:
-            for node_id in sample_graph.node_ids():
-                assert sg.degree(node_id, Direction.OUT, ("calls",)) == \
-                    sample_graph.degree(node_id, Direction.OUT, ("calls",))
+            for node_id in sg.node_ids():
+                list(sg.edges_of(node_id, Direction.BOTH, ("calls",)))
+            assert {part for *_key, part in sg._neighbor_cache} == \
+                {store_mod._EDGE_IDS}
 
     def test_dead_node_raises_on_typed_path(self, tmp_path, sample_graph):
         sample_graph.remove_node(2)
@@ -179,10 +312,10 @@ class TestCsrRoundTrip:
             assert mapped._csr_reader._buffer is not None  # whole-file view
 
 
-def _rel_pages_read(sg):
-    """Pages of relationshipstore.db faulted in since the last evict."""
+def _pages_read(sg, paged_file):
+    """Pages of one store file faulted in since the last evict."""
     return sum(1 for file_id, _page in sg.page_cache._pages
-               if file_id == sg._rels._file_id)
+               if file_id == paged_file._file_id)
 
 
 #: every ``algo`` entry point, reduced to a value that does not depend
@@ -243,8 +376,26 @@ class TestNativesStayOffRelRecords:
                 sg.evict_caches()
             assert self._traverse(compiled) == \
                 self._traverse(records_only)
-            assert _rel_pages_read(compiled) == 0
-            assert _rel_pages_read(records_only) > 0  # the check bites
+            assert _pages_read(compiled, compiled._rels) == 0
+            assert _pages_read(records_only, records_only._rels) > 0
+
+    def test_evicted_typed_closure_reads_only_csr_and_index_pages(
+            self, store_dir):
+        """A closure follows neighbour ids: no node, relationship,
+        adjacency-block, property or string page is faulted in."""
+        with Frappe.open(store_dir) as fr:
+            sg = fr.view
+            fr.evict_caches()
+            result = fr.query(
+                "START n=node:node_auto_index('short_name: main') "
+                "MATCH n -[:calls*]-> m RETURN distinct m")
+            assert [node.id for (node,) in result.rows] == [2]
+            assert algo.reachable_nodes(sg, 1, ("calls",)) == {2}
+            touched = {file_id for file_id, _page in sg.page_cache._pages}
+            allowed = {sg._csr_payload_file._file_id,
+                       sg._csr_offsets_file._file_id,
+                       sg._indexes._postings._file_id}
+            assert touched and touched <= allowed
 
     def test_dead_edge_still_raises(self, store_dir):
         with GraphStore.open(store_dir) as sg:
@@ -340,6 +491,37 @@ class TestFormatV3:
         [record] = caplog.records
         assert "payload_bytes" in record.getMessage()
 
+    def test_layout_1_descriptor_is_not_decoded(self, sample_graph,
+                                                store_dir, caplog):
+        """A store compiled before the column layout: records serve,
+        one warning, one counter tick, the same answers."""
+        stamp_csr_layout(store_dir, 1)
+        with caplog.at_level(logging.WARNING, logger="repro.storage"), \
+                Frappe.open(store_dir) as fr:
+            sg = fr.view
+            assert sg._csr_reader is None
+            assert sg.csr_fallback == "csr layout 1, run `frappe compact`"
+            assert fr.counters()["store.csr_fallbacks"] == 1
+            for node_id in sample_graph.node_ids():
+                assert sorted(sg.neighbors_of(node_id, Direction.BOTH,
+                                              ("calls", "reads"))) == \
+                    sorted((edge, other_end(sample_graph, edge, node_id))
+                           for edge in sample_graph.edges_of(
+                               node_id, Direction.BOTH,
+                               ("calls", "reads")))
+            assert algo.reachable_nodes(sg, 0) == \
+                algo.reachable_nodes(sample_graph, 0)
+        [record] = caplog.records
+        assert "csr layout 1" in record.getMessage()
+        verification = GraphStore.verify(store_dir)
+        assert verification.status == "repairable"
+        [problem] = verification.problems
+        assert problem.category == "csr" and "layout 1" in problem.message
+        compact_store(store_dir)
+        assert GraphStore.verify(store_dir).status == "clean"
+        with GraphStore.open(store_dir) as sg:
+            assert sg._csr_reader is not None and sg.csr_fallback is None
+
     def test_no_csr_is_a_choice_and_stays_quiet(self, store_dir, caplog):
         with Frappe.open(store_dir, config=StoreConfig(
                 use_compiled_csr=False)) as fr:
@@ -379,6 +561,27 @@ class TestVerifyAndRepair:
         verification = GraphStore.verify(store_dir)
         assert verification.status == "repairable"
         assert {p.category for p in verification.problems} == {"csr"}
+
+    def test_flipped_id_is_located_by_fsck_and_refused_at_read(
+            self, store_dir):
+        """Same size, same offsets, one id out of range: fsck names the
+        file and the byte; a reader that meets it raises corruption
+        naming csr.db instead of handing the id on."""
+        path = os.path.join(store_dir, store_mod.CSR_FILE)
+        with open(path, "r+b") as handle:
+            handle.seek(3)                  # top byte of neighbours[0]
+            handle.write(b"\x7F")
+        verification = GraphStore.verify(store_dir)
+        assert verification.status == "repairable"
+        assert {(p.file, p.category) for p in verification.problems} == \
+            {(store_mod.CSR_FILE, "csr")}
+        with GraphStore.open(store_dir) as sg:
+            assert sg._csr_reader is not None  # sizes agree: open serves
+            with pytest.raises(StoreCorruptionError) as caught:
+                for node_id in range(sg._high_node):
+                    sg.neighbor_ids_of(node_id, Direction.BOTH)
+            assert caught.value.file == path
+            assert not isinstance(caught.value, (IndexError, KeyError))
 
     def test_compact_repairs_damaged_csr(self, sample_graph, store_dir):
         path = os.path.join(store_dir, store_mod.CSR_FILE)
@@ -460,10 +663,10 @@ class TestEvictionRegression:
             fr.query("MATCH (n) RETURN count(n)")  # all-ids universe
             sg = fr.view
             sg.neighbors_of(1, Direction.BOTH)
-            assert sg._neighbor_pair_cache
+            assert sg._neighbor_cache
             assert sg._csr_reader._views or sg._csr_reader._buffer
             fr.evict_caches()
-            assert not sg._neighbor_pair_cache
+            assert not sg._neighbor_cache
             assert not sg._adj_cache and not sg._rel_cache
             assert not sg._csr_reader._views
             assert sg._csr_reader._buffer is None

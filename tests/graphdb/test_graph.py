@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError
 from repro.graphdb import Direction, PropertyGraph
-from repro.graphdb.view import neighbors, other_end
+from repro.graphdb.view import neighbor_ids, other_end
 
 
 @pytest.fixture
@@ -144,7 +144,7 @@ class TestAdjacency:
 
     def test_neighbors_helper(self, small_graph):
         g, (a, b, c), _ = small_graph
-        assert set(neighbors(g, a, Direction.OUT)) == {b, c}
+        assert set(neighbor_ids(g, a, Direction.OUT)) == {b, c}
 
 
 class TestHandles:

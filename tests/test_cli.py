@@ -1,6 +1,7 @@
 """The frappe command-line interface, end to end."""
 
 import os
+import shutil
 
 import pytest
 
@@ -344,6 +345,46 @@ class TestCompact:
         capsys.readouterr()
         assert main(["query", str(out),
                      "MATCH (n:function) RETURN count(*)"]) == 0
+
+    def test_layout_1_store_is_repairable_then_compacted(
+            self, store, tmp_path, capsys, caplog):
+        """A store compiled before the column layout: fsck exit 2, a
+        query still answers (from records, saying so once), compact
+        rewrites it."""
+        from repro.graphdb.storage.faults import stamp_csr_layout
+        store = shutil.copytree(store, str(tmp_path / "aged"))
+        query = ["query", store, "MATCH (n:function) RETURN count(*)"]
+        assert main(query) == 0
+        answer = capsys.readouterr().out.splitlines()[:2]  # not timing
+        stamp_csr_layout(store, 1)
+        assert main(["fsck", store]) == 2
+        printed = capsys.readouterr().out
+        assert "repairable" in printed and "csr layout 1" in printed
+        with caplog.at_level("WARNING", logger="repro.storage"):
+            assert main(query) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == answer
+        assert [record.getMessage().count("csr layout 1")
+                for record in caplog.records] == [1]
+        assert main(["compact", store]) == 0
+        capsys.readouterr()
+        assert main(["fsck", store]) == 0
+
+    def test_layout_1_shard_root_is_repaired_per_shard(self, store,
+                                                       tmp_path, capsys):
+        from repro.graphdb.storage.faults import stamp_csr_layout
+        shard_root = tmp_path / "shards"
+        assert main(["shard-split", store, "--shards", "2",
+                     "--out", str(shard_root), "--by-subtree"]) == 0
+        for shard in ("shard-000", "shard-001"):
+            stamp_csr_layout(str(shard_root / shard), 1)
+        capsys.readouterr()
+        assert main(["fsck", str(shard_root)]) == 2
+        printed = capsys.readouterr().out
+        assert "repairable" in printed
+        assert printed.count("csr layout 1") == 2  # one per shard
+        assert main(["compact", str(shard_root)]) == 0
+        capsys.readouterr()
+        assert main(["fsck", str(shard_root)]) == 0
 
     def test_compact_shard_root_reports_every_shard(self, store,
                                                     tmp_path, capsys):
