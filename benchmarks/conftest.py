@@ -138,16 +138,3 @@ def report():
 
     yield write
     handle.close()
-
-
-@pytest.fixture(scope="session")
-def bench_records_pr10():
-    """Compiled-CSR benchmark records (cold compiled-vs-runtime on
-    the traversal-heavy Table 5 queries, warm never-slower mix check,
-    compiled store size delta); written to
-    ``benchmarks/reports/BENCH_PR10.json`` at session end."""
-    records: list[dict] = []
-    yield records
-    if records:
-        write_bench_records(
-            os.path.join(REPORT_DIR, "BENCH_PR10.json"), records)

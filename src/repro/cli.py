@@ -233,11 +233,6 @@ def _add_read_path_flags(subparser: argparse.ArgumentParser) -> None:
         "--mmap", action="store_true",
         help="memory-map the store files (zero-copy reads) instead "
         "of the buffered LRU page cache")
-    subparser.add_argument(
-        "--no-csr", action="store_true",
-        help="ignore the store's persistent compiled CSR segments "
-        "and decode adjacency from records at runtime (the "
-        "cold-start ablation)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -296,8 +291,7 @@ def _store_config(args: argparse.Namespace) -> StoreConfig:
         mmap=getattr(args, "mmap", False),
         execution_mode=getattr(args, "execution_mode", "auto"),
         morsel_size=getattr(args, "morsel_size", None),
-        parallelism=getattr(args, "parallelism", 0),
-        use_compiled_csr=not getattr(args, "no_csr", False))
+        parallelism=getattr(args, "parallelism", 0))
 
 
 def _cmd_index(args: argparse.Namespace) -> int:

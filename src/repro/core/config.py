@@ -47,12 +47,6 @@ class StoreConfig:
         execution: 0 = auto (the serving pool's worker count when one
         is running, serial otherwise), 1 = serial, N = up to N morsel
         tasks per query. Per-query override via ``QueryOptions``.
-    use_compiled_csr
-        Serve adjacency and resolved neighbors from the store's
-        persistent compiled CSR segments when the store carries them
-        (format 3); off = decode record-by-record at runtime (the
-        cold-start ablation gate, ``--no-csr`` on the CLI). Stores
-        without compiled segments always use the record path.
     use_reachability_rewrite
         Run endpoint-distinct var-length patterns as visited-set BFS
         (the Section 6.1 ablation gate).
@@ -67,7 +61,6 @@ class StoreConfig:
     execution_mode: str = "auto"
     morsel_size: int | None = None
     parallelism: int = 0
-    use_compiled_csr: bool = True
     use_reachability_rewrite: bool = True
     use_cost_based_planner: bool = True
 

@@ -122,8 +122,7 @@ class Frappe:
         engine_kw: dict[str, Any] = {}
         if config.morsel_size is not None:
             engine_kw["morsel_size"] = config.morsel_size
-        return cls(GraphStore.open(directory, config.make_page_cache(),
-                                   use_compiled_csr=config.use_compiled_csr),
+        return cls(GraphStore.open(directory, config.make_page_cache()),
                    config.default_timeout,
                    use_reachability_rewrite=config.use_reachability_rewrite,
                    use_cost_based_planner=config.use_cost_based_planner,

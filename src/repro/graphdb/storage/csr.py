@@ -16,7 +16,7 @@ descriptor in ``metadata.json`` under the ``"csr"`` key:
     describes the same edge.  Entries are grouped by node in ascending
     node-id order and keep adjacency-group order within a node, so a
     node's slice of the two columns is exactly the (edge id, neighbor
-    id) list the record path would produce.
+    id) list its adjacency block and relationship records describe.
 
 ``csr.offsets.db``
     Per-segment ``u32`` offset arrays, counted in *elements*.  A
@@ -34,14 +34,16 @@ There is no decode loop on any path.
 Descriptor (per segment): direction (0=out, 1=in), type token, base,
 span, payload/offsets extents, CRC32 per region, and degree statistics
 (edge count, max degree, log2-bucketed degree histogram) that the
-planner picks up for free at open.  A descriptor of another version is
-never decoded: the store falls back to record decode and ``frappe
-compact`` rewrites it.
+planner picks up for free at open.  :func:`descriptor_problem` checks
+every segment's fields and extents against the two file sizes at open;
+a descriptor of another version is never decoded: the store is refused
+and ``frappe compact`` rewrites it.
 
 Segments are deterministic: ordered by (direction, token), runs in
 ascending node-id order, entries in adjacency-group order — the same
-order the record-decode path yields, which is what makes the two
-paths row-identical down to PROFILE trees.
+order an untyped ``edges_of`` reads from the adjacency block, which is
+what makes typed and untyped reads of one store agree down to PROFILE
+trees.
 """
 
 from __future__ import annotations
@@ -307,38 +309,102 @@ class CsrReader:
         return self._runs(node_id, directions, wanted, 1)
 
 
+#: the integer fields every segment entry carries (the CRCs and degree
+#: statistics are fsck's and the planner's, not the reader's)
+_SEGMENT_FIELDS = ("direction", "token", "base", "span", "payload_offset",
+                   "payload_bytes", "offsets_offset", "offsets_bytes",
+                   "edges")
+
+
+def descriptor_problem(descriptor: Any, payload_size: int,
+                       offsets_size: int,
+                       ) -> tuple[str, str, int | None] | None:
+    """The first structural fault of *descriptor* against the sizes of
+    ``csr.db`` and ``csr.offsets.db``, as ``(file-kind, message, byte
+    offset or None)``, or None when the reader can serve it.
+
+    O(segments), file contents unread: the layout version, the offset
+    width, both file sizes, and per segment its integer fields, 4-byte
+    alignment, ``payload_bytes == 8 * edges``, ``offsets_bytes == 4 *
+    (span + 1)`` and both extents inside their files — so no run the
+    reader slices can overrun a file.
+    """
+    if not isinstance(descriptor, dict):
+        return ("payload", "no csr descriptor", None)
+    version = descriptor.get("version")
+    if version != CSR_DESCRIPTOR_VERSION:
+        return ("payload", f"csr layout {version}", None)
+    if descriptor.get("offset_width") != OFFSET_WIDTH:
+        return ("offsets", "unsupported CSR offset width "
+                f"{descriptor.get('offset_width')!r}", None)
+    for kind, name, key, actual in (
+            ("payload", "csr.db", "payload_bytes", payload_size),
+            ("offsets", "csr.offsets.db", "offsets_bytes", offsets_size)):
+        if descriptor.get(key) != actual:
+            return (kind, f"{name} is {actual} bytes, descriptor says "
+                    f"{descriptor.get(key)}", None)
+    segments = descriptor.get("segments")
+    if not isinstance(segments, list):
+        return ("payload", "csr descriptor has no segment list", None)
+    for index, entry in enumerate(segments):
+        name = f"csr segment {index}"
+        if not isinstance(entry, dict):
+            return ("payload", f"{name} is not an object", None)
+        for field in _SEGMENT_FIELDS:
+            value = entry.get(field)
+            if type(value) is not int or value < 0:
+                return ("payload", f"{name}: {field} is {value!r}, not "
+                        "a non-negative integer", None)
+        payload_at = entry["payload_offset"]
+        offsets_at = entry["offsets_offset"]
+        edges = entry["edges"]
+        span = entry["span"]
+        if entry["direction"] not in (OUT, IN):
+            return ("payload", f"{name}: direction "
+                    f"{entry['direction']} is neither out nor in", None)
+        if payload_at % 4 or offsets_at % 4:
+            return ("payload" if payload_at % 4 else "offsets",
+                    f"{name}: extent not 4-byte aligned", None)
+        if entry["payload_bytes"] != 8 * edges:
+            return ("payload", f"{name}: columns are "
+                    f"{entry['payload_bytes']} bytes, {edges} entries "
+                    f"need {8 * edges}", payload_at)
+        if entry["offsets_bytes"] != 4 * (span + 1):
+            return ("offsets", f"{name}: offsets are "
+                    f"{entry['offsets_bytes']} bytes, a span of {span} "
+                    f"needs {4 * (span + 1)}", offsets_at)
+        if payload_at + 8 * edges > payload_size:
+            return ("payload", f"{name}: columns end at byte "
+                    f"{payload_at + 8 * edges}, past csr.db's "
+                    f"{payload_size}", payload_at)
+        if offsets_at + 4 * (span + 1) > offsets_size:
+            return ("offsets", f"{name}: offsets end at byte "
+                    f"{offsets_at + 4 * (span + 1)}, past "
+                    f"csr.offsets.db's {offsets_size}", offsets_at)
+    return None
+
+
 def _first_at_or_above(column: Sequence[int], limit: int) -> int:
     return next(index for index, value in enumerate(column)
                 if value >= limit)
 
 
-def verify_descriptor(descriptor: dict[str, Any], payload: bytes,
+def verify_descriptor(descriptor: Any, payload: bytes,
                       offsets: bytes, high_node: int, rel_high: int,
                       ) -> list[tuple[str, str, int | None]]:
     """Structural fsck of the CSR files against their descriptor.
 
     Returns (file-kind, message, byte offset or None) problems;
-    file-kind is ``"payload"`` or ``"offsets"``.  Columns are checked
-    whole (CRC, length, monotone offsets, largest id), so a clean
+    file-kind is ``"payload"`` or ``"offsets"``.  The structure open
+    checks comes first (:func:`descriptor_problem`); then columns are
+    checked whole (CRC, monotone offsets, largest id), so a clean
     verdict means every run is readable and every edge/neighbor id is
     in range.
     """
-    version = descriptor.get("version")
-    if version != CSR_DESCRIPTOR_VERSION:
-        return [("payload", f"csr layout {version!r} (current is "
-                 f"{CSR_DESCRIPTOR_VERSION}), run `frappe compact`",
-                 None)]
-    if descriptor.get("offset_width") != OFFSET_WIDTH:
-        return [("offsets", "unsupported CSR offset width "
-                 f"{descriptor.get('offset_width')!r}", None)]
-    if descriptor.get("payload_bytes") != len(payload):
-        return [("payload", f"csr payload is {len(payload)} bytes, "
-                 f"descriptor says {descriptor.get('payload_bytes')}",
-                 None)]
-    if descriptor.get("offsets_bytes") != len(offsets):
-        return [("offsets", f"csr offsets file is {len(offsets)} bytes, "
-                 f"descriptor says {descriptor.get('offsets_bytes')}",
-                 None)]
+    structural = descriptor_problem(descriptor, len(payload), len(offsets))
+    if structural is not None:
+        kind, message, offset = structural
+        return [(kind, f"{message}, run `frappe compact`", offset)]
     problems: list[tuple[str, str, int | None]] = []
     payload_view = memoryview(payload)
     offsets_view = memoryview(offsets)
@@ -355,16 +421,8 @@ def verify_descriptor(descriptor: dict[str, Any], payload: bytes,
         if zlib.crc32(segment_payload) != entry.get("payload_crc32"):
             problems.append(("payload", f"{name}: payload CRC mismatch",
                              payload_at))
-        elif len(segment_payload) != 8 * edges:
-            problems.append(("payload",
-                             f"{name}: columns are "
-                             f"{len(segment_payload)} bytes, {edges} "
-                             f"entries need {8 * edges}", payload_at))
         elif zlib.crc32(segment_offsets) != entry.get("offsets_crc32"):
             problems.append(("offsets", f"{name}: offsets CRC mismatch",
-                             offsets_at))
-        elif len(segment_offsets) != 4 * (span + 1):
-            problems.append(("offsets", f"{name}: offsets array truncated",
                              offsets_at))
         elif entry["base"] + span > high_node:
             problems.append(("offsets",
@@ -406,4 +464,4 @@ def verify_descriptor(descriptor: dict[str, Any], payload: bytes,
 
 __all__ = ["CSR_DESCRIPTOR_VERSION", "CsrBuilder", "CsrReader",
            "DEGREE_BUCKETS", "IN", "OFFSET_WIDTH", "OUT",
-           "verify_descriptor"]
+           "descriptor_problem", "verify_descriptor"]

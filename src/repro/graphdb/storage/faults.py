@@ -10,8 +10,9 @@ Two cooperating pieces:
   :class:`FaultyFile` that tears, flips, truncates or EIO-fails the
   write stream.
 * on-disk helpers (:func:`flip_byte`, :func:`truncate_file`,
-  :func:`stamp_csr_layout`) — damage or age finished stores for
-  ``GraphStore.verify`` / ``frappe fsck`` tests.
+  :func:`rewrite_metadata`, :func:`stamp_csr_layout`,
+  :func:`strip_compiled_csr`) — damage or age finished stores for
+  ``GraphStore.open`` / ``GraphStore.verify`` / ``frappe fsck`` tests.
 
 The crash-at-every-step protocol: run one write with a plain injector
 (it records the checkpoint labels it saw), then re-run once per label
@@ -30,7 +31,7 @@ import dataclasses
 import json
 import os
 import zlib
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 #: Fault kinds understood by :class:`FaultyFile`.
 TORN_WRITE = "torn"        # silently stop persisting at the Nth byte
@@ -256,29 +257,51 @@ def corrupt_boundary_table(shard_root: str, shard: int = 0,
     return path
 
 
-def stamp_csr_layout(directory: str, version: int) -> None:
-    """Make a store claim another compiled-CSR layout version.
+def rewrite_metadata(directory: str,
+                     edit: Callable[[dict[str, Any]], None],
+                     drop_files: Iterable[str] = ()) -> None:
+    """Apply *edit* to a store's ``metadata.json`` in place, delete
+    *drop_files*, and re-seal the manifest to match.
 
-    Rewrites the ``"csr"`` descriptor's ``version`` in
-    ``metadata.json`` and re-seals that file's manifest entry, which
-    is what a store written before (or after) this build's layout
-    looks like to ``open`` and ``fsck``: checksums agree, the layout
-    is not the one the reader decodes.
+    The store's checksums then agree with what is on disk, so ``open``
+    and ``fsck`` judge the edited format itself, not a torn file.
     """
     metadata_path = os.path.join(directory, "metadata.json")
     with open(metadata_path, encoding="utf-8") as handle:
         metadata = json.load(handle)
-    metadata["csr"]["version"] = version
+    edit(metadata)
     with open(metadata_path, "w", encoding="utf-8") as handle:
         json.dump(metadata, handle)
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
+    for name in drop_files:
+        os.unlink(os.path.join(directory, name))
+        manifest["files"].pop(name, None)
     manifest["files"]["metadata.json"] = {
         "size": os.path.getsize(metadata_path),
         "crc32": crc32_of(metadata_path)}
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle)
+
+
+def stamp_csr_layout(directory: str, version: int) -> None:
+    """Make a store claim another compiled-CSR layout version: what a
+    store written before (or after) this build's layout looks like."""
+    rewrite_metadata(directory,
+                     lambda metadata: metadata["csr"].update(
+                         version=version))
+
+
+def strip_compiled_csr(directory: str) -> None:
+    """Age a store to format 2: no CSR files, no descriptor (the
+    dictionary page stays — it holds dict-encoded property values)."""
+    def to_format_2(metadata: dict[str, Any]) -> None:
+        metadata["version"] = 2
+        del metadata["csr"]
+
+    rewrite_metadata(directory, to_format_2,
+                     drop_files=("csr.db", "csr.offsets.db"))
 
 
 def checkpoint_labels(run: Iterable[str]) -> list[str]:

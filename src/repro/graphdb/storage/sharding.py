@@ -552,16 +552,15 @@ class ShardedStore:
     identical to the unsharded store's.
     """
 
-    def __init__(self, root: str, page_cache: PageCache | None = None,
-                 use_compiled_csr: bool = True) -> None:
+    def __init__(self, root: str,
+                 page_cache: PageCache | None = None) -> None:
         self.root = root
         self.manifest = load_shard_manifest(root)
         self.page_cache = page_cache or PageCache()
         self.shards: list[StoreGraph] = []
         for entry in self.manifest["shards"]:
             self.shards.append(GraphStore.open(
-                os.path.join(root, entry["directory"]),
-                self.page_cache, use_compiled_csr=use_compiled_csr))
+                os.path.join(root, entry["directory"]), self.page_cache))
         self._node_owner: dict[int, int] = {}
         owned_lists: list[list[int]] = []
         for index, shard in enumerate(self.shards):
@@ -736,12 +735,6 @@ class ShardedStore:
                types: Collection[str] | None = None) -> int:
         return self._node_shard(node_id).degree(node_id, direction,
                                                 types)
-
-    def resolve_neighbors(self, node_id: int,
-                          edge_ids: Collection[int],
-                          ) -> list[tuple[int, int]]:
-        return self._node_shard(node_id).resolve_neighbors(node_id,
-                                                           edge_ids)
 
     def neighbors_of(self, node_id: int,
                      direction: Direction = Direction.BOTH,

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import os
 import shutil
 import struct
@@ -50,8 +49,8 @@ from repro.graphdb.view import Direction, GraphView, other_end
 
 MAGIC = "frappe-graph-store"
 #: Format 3 added the compiled CSR adjacency segments and the string
-#: dictionary page. Version-2 stores still open: they simply have no
-#: compiled structures, so reads fall back to record decoding.
+#: dictionary page. A version-2 store has no CSR, so ``open`` refuses
+#: it; it stays readable only to ``compact_store``, which rewrites it.
 FORMAT_VERSION = 3
 SUPPORTED_VERSIONS = (2, FORMAT_VERSION)
 
@@ -77,11 +76,6 @@ MANIFEST_FILE = "manifest.json"
 ALL_FILES = (METADATA_FILE, NODE_FILE, REL_FILE, ADJ_FILE, PROP_FILE,
              STRING_FILE, STRING_OFFSETS_FILE, INDEX_POSTINGS_FILE,
              INDEX_DICT_FILE, CSR_FILE, CSR_OFFSETS_FILE, DICT_FILE)
-
-#: files a version-2 (pre-compiled) store commits
-LEGACY_FILES = (METADATA_FILE, NODE_FILE, REL_FILE, ADJ_FILE, PROP_FILE,
-                STRING_FILE, STRING_OFFSETS_FILE, INDEX_POSTINGS_FILE,
-                INDEX_DICT_FILE)
 
 #: maximum dictionary-page entries; beyond the token vocabularies only
 #: the highest-frequency property values make the cut
@@ -233,7 +227,6 @@ class GraphStore:
               injector: Any = None,
               ghost_nodes: Collection[int] | None = None,
               vocabulary: dict[str, list[str]] | None = None,
-              compiled: bool = True,
               ) -> dict[str, int]:
         """Serialize *graph* into *directory*; returns the size breakdown.
 
@@ -271,11 +264,6 @@ class GraphStore:
         is a :class:`repro.graphdb.storage.faults.FaultInjector`-shaped
         object: its ``checkpoint(label)`` is called at every durability
         step and its ``open(path, mode)`` supplies the output streams.
-
-        ``compiled`` (keyword-only) controls the format-3 compiled
-        structures (CSR adjacency segments + dictionary page); pass
-        ``False`` to write a legacy version-2 store — the ablation
-        baseline and the compatibility-test fixture.
         """
         directory = directory.rstrip("/\\") or directory
         staging = directory + ".tmp"
@@ -292,16 +280,14 @@ class GraphStore:
         os.makedirs(staging)
         GraphStore._write_contents(graph, staging, opener, checkpoint,
                                    ghost_nodes=ghost_nodes,
-                                   vocabulary=vocabulary,
-                                   compiled=compiled)
+                                   vocabulary=vocabulary)
 
-        written = ALL_FILES if compiled else LEGACY_FILES
-        for name in written:
+        for name in ALL_FILES:
             _fsync_file(os.path.join(staging, name))
         checkpoint("files_synced")
 
         manifest: dict[str, Any] = {"version": 1, "files": {}}
-        for name in written:
+        for name in ALL_FILES:
             path = os.path.join(staging, name)
             manifest["files"][name] = {"size": os.path.getsize(path),
                                        "crc32": _crc32_file(path)}
@@ -331,7 +317,6 @@ class GraphStore:
                         checkpoint: Callable[[str], None],
                         ghost_nodes: Collection[int] | None = None,
                         vocabulary: dict[str, list[str]] | None = None,
-                        compiled: bool = True,
                         ) -> None:
         """Serialize every store file of *graph* into *directory*."""
         ghosts = frozenset(ghost_nodes or ())
@@ -356,43 +341,39 @@ class GraphStore:
         # DICTIONARY_MIN_FREQUENCY times. Deterministic order: names
         # first (first-seen order of the iteration), then values by
         # descending frequency with a lexicographic tiebreak.
-        dictionary_ids: dict[str, int] | None = None
-        if compiled:
-            names: dict[str, None] = {}
-            frequencies: dict[str, int] = {}
-            live_count = 0
-            for node_id in graph.node_ids():
-                live_count += 1
-                for label in graph.node_labels(node_id):
-                    names.setdefault(label, None)
-                for key, value in graph.node_properties(node_id).items():
-                    names.setdefault(key, None)
-                    if isinstance(value, str):
-                        frequencies[value] = frequencies.get(value, 0) + 1
-            for edge_id in graph.edge_ids():
-                names.setdefault(graph.edge_type(edge_id), None)
-                for key, value in graph.edge_properties(edge_id).items():
-                    names.setdefault(key, None)
-                    if isinstance(value, str):
-                        frequencies[value] = frequencies.get(value, 0) + 1
-            dictionary_ids = {text: index
-                              for index, text in enumerate(names)}
-            hot = sorted(
-                ((count, value) for value, count in frequencies.items()
-                 if count >= DICTIONARY_MIN_FREQUENCY
-                 and value not in dictionary_ids),
-                key=lambda item: (-item[0], item[1]))
-            for _count, value in hot:
-                if len(dictionary_ids) >= DICTIONARY_CAPACITY:
-                    break
-                dictionary_ids[value] = len(dictionary_ids)
-            dict_path = os.path.join(directory, DICT_FILE)
-            with opener(dict_path, "wb") as handle:
-                handle.write(records.encode_dictionary(
-                    list(dictionary_ids)))
-            checkpoint("dictionary_written")
-        else:
-            live_count = sum(1 for _ in graph.node_ids())
+        names: dict[str, None] = {}
+        frequencies: dict[str, int] = {}
+        live_count = 0
+        for node_id in graph.node_ids():
+            live_count += 1
+            for label in graph.node_labels(node_id):
+                names.setdefault(label, None)
+            for key, value in graph.node_properties(node_id).items():
+                names.setdefault(key, None)
+                if isinstance(value, str):
+                    frequencies[value] = frequencies.get(value, 0) + 1
+        for edge_id in graph.edge_ids():
+            names.setdefault(graph.edge_type(edge_id), None)
+            for key, value in graph.edge_properties(edge_id).items():
+                names.setdefault(key, None)
+                if isinstance(value, str):
+                    frequencies[value] = frequencies.get(value, 0) + 1
+        dictionary_ids = {text: index
+                          for index, text in enumerate(names)}
+        hot = sorted(
+            ((count, value) for value, count in frequencies.items()
+             if count >= DICTIONARY_MIN_FREQUENCY
+             and value not in dictionary_ids),
+            key=lambda item: (-item[0], item[1]))
+        for _count, value in hot:
+            if len(dictionary_ids) >= DICTIONARY_CAPACITY:
+                break
+            dictionary_ids[value] = len(dictionary_ids)
+        dict_path = os.path.join(directory, DICT_FILE)
+        with opener(dict_path, "wb") as handle:
+            handle.write(records.encode_dictionary(
+                list(dictionary_ids)))
+        checkpoint("dictionary_written")
 
         strings = _StringStoreWriter(os.path.join(directory, STRING_FILE),
                                      opener)
@@ -439,7 +420,7 @@ class GraphStore:
         # compiled path.
         adj_path = os.path.join(directory, ADJ_FILE)
         adjacency: dict[int, tuple[int, int]] = {}
-        csr_builder = csr_mod.CsrBuilder() if compiled else None
+        csr_builder = csr_mod.CsrBuilder()
         with opener(adj_path, "wb") as adj_handle:
             position = 0
             for node_id in graph.node_ids():
@@ -451,8 +432,6 @@ class GraphStore:
                 adj_handle.write(block)
                 adjacency[node_id] = (position, len(block))
                 position += len(block)
-                if csr_builder is None:
-                    continue
                 for direction, groups in ((csr_mod.OUT, out_groups),
                                           (csr_mod.IN, in_groups)):
                     for token, edge_ids in groups:
@@ -463,15 +442,13 @@ class GraphStore:
 
         checkpoint("adjacency_written")
 
-        csr_descriptor = None
-        if csr_builder is not None:
-            csr_payload, csr_offsets, csr_descriptor = csr_builder.finish()
-            with opener(os.path.join(directory, CSR_FILE), "wb") as handle:
-                handle.write(csr_payload)
-            with opener(os.path.join(directory, CSR_OFFSETS_FILE),
-                        "wb") as handle:
-                handle.write(csr_offsets)
-            checkpoint("csr_written")
+        csr_payload, csr_offsets, csr_descriptor = csr_builder.finish()
+        with opener(os.path.join(directory, CSR_FILE), "wb") as handle:
+            handle.write(csr_payload)
+        with opener(os.path.join(directory, CSR_OFFSETS_FILE),
+                    "wb") as handle:
+            handle.write(csr_offsets)
+        checkpoint("csr_written")
 
         # node store -----------------------------------------------------------
         high_node = max(graph.node_ids(), default=-1) + 1
@@ -542,7 +519,7 @@ class GraphStore:
         # metadata ------------------------------------------------------------------
         metadata = {
             "magic": MAGIC,
-            "version": FORMAT_VERSION if compiled else 2,
+            "version": FORMAT_VERSION,
             # Count what was actually serialized rather than trusting
             # graph.node_count(): a StoreGraph source already excludes
             # its ghosts there, so compacting a shard must not subtract
@@ -561,9 +538,8 @@ class GraphStore:
         }
         if ghosts:
             metadata["ghost_nodes"] = sorted(ghosts)
-        if compiled:
-            metadata["csr"] = csr_descriptor
-            metadata["dictionary_count"] = len(dictionary_ids or ())
+        metadata["csr"] = csr_descriptor
+        metadata["dictionary_count"] = len(dictionary_ids)
         with opener(os.path.join(directory, METADATA_FILE), "w",
                     encoding="utf-8") as handle:
             json.dump(metadata, handle)
@@ -572,33 +548,30 @@ class GraphStore:
     @staticmethod
     def open(directory: str,
              page_cache: PageCache | None = None,
-             record_cache_capacity: int | None = None,
-             use_compiled_csr: bool = True) -> "StoreGraph":
+             record_cache_capacity: int | None = None) -> "StoreGraph":
         """Open a store directory as a read-only graph view.
 
         Runs best-effort crash :meth:`recover` first, so a directory
         left mid-swap by a crashed :meth:`write` opens as either the
         complete old or the complete new store.  Checksums are *not*
         verified here (that is :meth:`verify` / ``frappe fsck``) — open
-        stays O(metadata), corruption surfaces as precise
-        :class:`StoreCorruptionError`\\ s on access.
+        stays O(metadata + CSR segments), corruption surfaces as
+        precise :class:`StoreCorruptionError`\\ s on access.
+
+        The compiled CSR is part of the format: a store without one
+        this build serves (format 2, another CSR layout, files or
+        segments that disagree with the descriptor) is refused with a
+        :class:`StoreFormatError` naming the store and the reason and
+        ending "run `frappe compact`".
         """
-        GraphStore.recover(directory)
-        metadata_path = os.path.join(directory, METADATA_FILE)
-        if not os.path.exists(metadata_path):
-            raise StoreError(f"not a graph store: {directory!r}")
-        with open(metadata_path, encoding="utf-8") as handle:
-            metadata = json.load(handle)
-        if metadata.get("magic") != MAGIC:
-            raise StoreFormatError(f"bad magic in {metadata_path!r}")
-        if metadata.get("version") not in SUPPORTED_VERSIONS:
+        metadata = _load_metadata(directory)
+        problem = _csr_open_check(directory, metadata)
+        if problem is not None:
             raise StoreFormatError(
-                f"store version {metadata.get('version')} unsupported "
-                f"(expected one of {SUPPORTED_VERSIONS})")
+                f"store {directory!r}: {problem}, run `frappe compact`")
         return StoreGraph(directory, metadata,
                           page_cache or PageCache(),
-                          record_cache_capacity=record_cache_capacity,
-                          use_compiled_csr=use_compiled_csr)
+                          record_cache_capacity=record_cache_capacity)
 
     @staticmethod
     def recover(directory: str) -> str | None:
@@ -997,41 +970,33 @@ class GraphStore:
                 f"unreadable dictionary: {error}"))
             entries = []
 
-        # compiled CSR segments (format 3): fully derivable from the
-        # record stores, so damage here is REPAIRABLE (frappe compact
-        # rebuilds them)
+        # compiled CSR segments: fully derivable from the record
+        # stores, so damage here — or a format-2 store that has none —
+        # is REPAIRABLE (frappe compact rebuilds them)
         csr_descriptor = metadata.get("csr")
         csr_edges = None
         csr_segments = None
-        if csr_descriptor is not None:
-            if not isinstance(csr_descriptor, dict):
-                problems.append(StoreProblem(
-                    CSR_FILE, "csr", "malformed CSR descriptor"))
-            else:
-                csr_payload = load(CSR_FILE)
-                csr_offsets = load(CSR_OFFSETS_FILE)
-                if csr_payload is not None and csr_offsets is not None:
-                    try:
-                        for kind, message, offset in \
-                                csr_mod.verify_descriptor(
-                                    csr_descriptor, csr_payload,
-                                    csr_offsets, high_node, high_edge):
-                            problems.append(StoreProblem(
-                                CSR_FILE if kind == "payload"
-                                else CSR_OFFSETS_FILE, "csr", message,
-                                offset=offset))
-                    except (KeyError, TypeError, ValueError) as error:
-                        problems.append(StoreProblem(
-                            CSR_FILE, "csr",
-                            f"malformed CSR descriptor: {error}"))
-                segments = csr_descriptor.get("segments")
-                if isinstance(segments, list):
-                    csr_segments = len(segments)
-                    try:
-                        csr_edges = sum(entry["edges"]
-                                        for entry in segments)
-                    except (KeyError, TypeError):
-                        csr_edges = None
+        if metadata["version"] != FORMAT_VERSION:
+            problems.append(StoreProblem(
+                CSR_FILE, "csr", f"format {metadata['version']}: no "
+                "compiled CSR, run `frappe compact`"))
+        else:
+            csr_payload = load(CSR_FILE)
+            csr_offsets = load(CSR_OFFSETS_FILE)
+            if csr_payload is not None and csr_offsets is not None:
+                for kind, message, offset in csr_mod.verify_descriptor(
+                        csr_descriptor, csr_payload, csr_offsets,
+                        high_node, high_edge):
+                    problems.append(StoreProblem(
+                        CSR_FILE if kind == "payload"
+                        else CSR_OFFSETS_FILE, "csr", message,
+                        offset=offset))
+                if csr_mod.descriptor_problem(
+                        csr_descriptor, len(csr_payload),
+                        len(csr_offsets)) is None:
+                    csr_segments = len(csr_descriptor["segments"])
+                    csr_edges = sum(entry["edges"]
+                                    for entry in csr_descriptor["segments"])
 
         report(NODE_FILE, live_nodes if nodes_raw is not None else None)
         report(REL_FILE, live_edges if rels_raw is not None else None)
@@ -1069,18 +1034,20 @@ def compact_store(directory: str,
                   page_cache: PageCache | None = None) -> dict[str, int]:
     """Rewrite *directory* in the current compiled store format.
 
-    Opens the store through the record-decode path (never trusting any
-    existing compiled segments — this is also the ``fsck`` repair for
-    damaged CSR files), then rewrites it in place with the same atomic
-    staging/rename protocol as any other :meth:`GraphStore.write`.
-    Token tables are re-seeded from the source metadata so record ids,
-    token ids and iteration order all survive the round trip.  Works on
-    both legacy (format 2) and already-compiled stores; shard stores
-    keep their ghost replicas.  Returns the post-compaction size
-    breakdown.
+    The only reader of a store with its compiled CSR set aside: the
+    rewrite takes adjacency from the adjacency block (untyped
+    ``edges_of``) and never trusts the existing segments, which is
+    what makes this the ``fsck`` repair for damaged, missing or
+    other-layout CSR files and for format-2 stores.  The store is
+    rewritten in place with the same atomic staging/rename protocol as
+    any other :meth:`GraphStore.write`.  Token tables are re-seeded
+    from the source metadata so record ids, token ids and iteration
+    order all survive the round trip; shard stores keep their ghost
+    replicas.  Returns the post-compaction size breakdown.
     """
-    store = GraphStore.open(directory, page_cache=page_cache,
-                            use_compiled_csr=False)
+    metadata = _load_metadata(directory)
+    metadata.pop("csr", None)
+    store = StoreGraph(directory, metadata, page_cache or PageCache())
     try:
         GraphStore.write(store, directory,
                          ghost_nodes=store.ghost_nodes,
@@ -1088,8 +1055,7 @@ def compact_store(directory: str,
                              "key_tokens": store._key_tokens,
                              "type_tokens": store._type_tokens,
                              "label_tokens": store._label_tokens,
-                         },
-                         compiled=True)
+                         })
     finally:
         store.close()
     return GraphStore.size_breakdown(directory)
@@ -1106,8 +1072,7 @@ def _group_edges(graph: GraphView, node_id: int, direction: Direction,
 
 def _encode_value(value: Any,
                   strings: _StringStoreWriter,
-                  dictionary: dict[str, int] | None = None,
-                  ) -> tuple[int, int]:
+                  dictionary: dict[str, int]) -> tuple[int, int]:
     if isinstance(value, bool):
         return records.TAG_BOOL, 1 if value else 0
     if isinstance(value, int):
@@ -1117,10 +1082,9 @@ def _encode_value(value: Any,
     if isinstance(value, float):
         return records.TAG_FLOAT, records.pack_float(value)
     if isinstance(value, str):
-        if dictionary is not None:
-            dict_id = dictionary.get(value)
-            if dict_id is not None:
-                return records.TAG_DICT_STRING, dict_id
+        dict_id = dictionary.get(value)
+        if dict_id is not None:
+            return records.TAG_DICT_STRING, dict_id
         return records.TAG_STRING, strings.put_string(value)
     if isinstance(value, (list, tuple)):
         return records.TAG_LIST, strings.put_bytes(
@@ -1330,8 +1294,6 @@ class StoreIndexes:
 DEFAULT_RECORD_CACHE_CAPACITY = 262_144
 
 
-_LOG = logging.getLogger("repro.storage")
-
 #: the parts of a node's adjacency ``StoreGraph._neighbor_cache``
 #: holds: csr.db's two columns, and their zip
 _NEIGHBOURS, _EDGE_IDS, _PAIRS = 0, 1, 2
@@ -1343,27 +1305,41 @@ _CSR_DIRECTIONS = {Direction.OUT: (csr_mod.OUT,),
                    Direction.BOTH: (csr_mod.OUT, csr_mod.IN)}
 
 
+def _load_metadata(directory: str) -> dict[str, Any]:
+    """*directory*'s metadata, after crash :meth:`GraphStore.recover`
+    and the magic and version checks."""
+    GraphStore.recover(directory)
+    metadata_path = os.path.join(directory, METADATA_FILE)
+    if not os.path.exists(metadata_path):
+        raise StoreError(f"not a graph store: {directory!r}")
+    with open(metadata_path, encoding="utf-8") as handle:
+        metadata = json.load(handle)
+    if metadata.get("magic") != MAGIC:
+        raise StoreFormatError(f"bad magic in {metadata_path!r}")
+    if metadata.get("version") not in SUPPORTED_VERSIONS:
+        raise StoreFormatError(
+            f"store version {metadata.get('version')} unsupported "
+            f"(expected one of {SUPPORTED_VERSIONS})")
+    return metadata
+
+
 def _csr_open_check(directory: str,
-                    descriptor: dict[str, Any]) -> str | None:
-    """Why a store's compiled CSR cannot be served, or None when the
-    descriptor is of the one layout this build reads and both file
-    sizes agree (O(1): contents are fsck's)."""
-    layout = descriptor.get("version") \
-        if isinstance(descriptor, dict) else None
-    if layout != csr_mod.CSR_DESCRIPTOR_VERSION:
-        return f"csr layout {layout}, run `frappe compact`"
-    for name, key in ((CSR_FILE, "payload_bytes"),
-                      (CSR_OFFSETS_FILE, "offsets_bytes")):
+                    metadata: dict[str, Any]) -> str | None:
+    """Why *directory*'s compiled CSR cannot be served, or None when
+    it can: the store is format 3, the descriptor is of the one layout
+    this build reads, and every segment lies inside files of the sizes
+    it records (O(segments): contents are fsck's)."""
+    version = metadata["version"]
+    if version != FORMAT_VERSION:
+        return f"format {version}: no compiled CSR"
+    sizes = []
+    for name in (CSR_FILE, CSR_OFFSETS_FILE):
         try:
-            expected = descriptor[key]
-            actual = os.path.getsize(os.path.join(directory, name))
-        except (KeyError, TypeError):
-            return f"csr descriptor lacks {key}"
+            sizes.append(os.path.getsize(os.path.join(directory, name)))
         except OSError as error:
             return f"{name} unreadable ({error.strerror})"
-        if actual != expected:
-            return f"{name} is {actual} bytes, descriptor says {expected}"
-    return None
+    problem = csr_mod.descriptor_problem(metadata.get("csr"), *sizes)
+    return None if problem is None else problem[1]
 
 
 class _FIFOCache(dict):
@@ -1409,8 +1385,7 @@ class StoreGraph:
 
     def __init__(self, directory: str, metadata: dict[str, Any],
                  page_cache: PageCache,
-                 record_cache_capacity: int | None = None,
-                 use_compiled_csr: bool = True) -> None:
+                 record_cache_capacity: int | None = None) -> None:
         if record_cache_capacity is None:
             record_cache_capacity = DEFAULT_RECORD_CACHE_CAPACITY
         if record_cache_capacity < 1:
@@ -1459,32 +1434,20 @@ class StoreGraph:
         self._indexes = StoreIndexes(dictionary, paged(INDEX_POSTINGS_FILE),
                                      self._node_count)
         # compiled read structures (format 3): per-(direction, type)
-        # CSR adjacency segments and the string dictionary page.
-        # Anything short of a fully consistent descriptor/file pair
-        # falls back to the record-decode path — a damaged or absent
-        # compiled layer costs speed, never answers — and says so once
-        # (log line + store.csr_fallbacks); --no-csr is a choice, not
-        # a fault, and stays quiet.
-        self.format_version: int = metadata.get("version", FORMAT_VERSION)
+        # CSR adjacency segments, checked by GraphStore.open, and the
+        # string dictionary page.  Only compact_store opens a store
+        # with no descriptor here: its CSR set aside, typed and
+        # neighbour reads raise
         self._csr_reader: csr_mod.CsrReader | None = None
         self._csr_payload_file: PagedFile | None = None
         self._csr_offsets_file: PagedFile | None = None
-        #: the open-time CSR check that failed, None when none did
-        self.csr_fallback: str | None = None
         csr_descriptor = metadata.get("csr")
-        if use_compiled_csr and csr_descriptor is not None:
-            self.csr_fallback = _csr_open_check(directory, csr_descriptor)
-            if self.csr_fallback is None:
-                self._csr_payload_file = paged(CSR_FILE)
-                self._csr_offsets_file = paged(CSR_OFFSETS_FILE)
-                self._csr_reader = csr_mod.CsrReader(
-                    self._csr_payload_file, self._csr_offsets_file,
-                    csr_descriptor, self._high_node, self._high_edge)
-            else:
-                _LOG.warning(
-                    "store %s: compiled CSR unusable (%s); serving "
-                    "adjacency from record decode", directory,
-                    self.csr_fallback)
+        if csr_descriptor is not None:
+            self._csr_payload_file = paged(CSR_FILE)
+            self._csr_offsets_file = paged(CSR_OFFSETS_FILE)
+            self._csr_reader = csr_mod.CsrReader(
+                self._csr_payload_file, self._csr_offsets_file,
+                csr_descriptor, self._high_node, self._high_edge)
         self._dict_file: PagedFile | None = None
         self._dict_buffer: Any = None
         self._dict_values: list[str | None] | None = None
@@ -1528,10 +1491,9 @@ class StoreGraph:
             self._node_count, self._edge_count,
             label_counts, edge_type_counts)
         # degree summaries fall out of the CSR segment descriptors for
-        # free (valid regardless of whether the compiled reader is in
-        # use — they describe the same adjacency either way)
-        if isinstance(csr_descriptor, dict):
-            for entry in csr_descriptor.get("segments", ()):
+        # free
+        if csr_descriptor is not None:
+            for entry in csr_descriptor["segments"]:
                 try:
                     self.statistics.set_degree_stats(
                         "out" if entry["direction"] == csr_mod.OUT
@@ -1547,18 +1509,12 @@ class StoreGraph:
         """(Re)bind the whole read path — page cache, index reader and
         the decoded-object caches — to one metrics registry, so a
         single snapshot covers every layer (``Frappe.counters()``)."""
-        first_attach = registry is not getattr(self, "metrics", None)
         self.metrics = registry
         self.page_cache.attach_metrics(registry)
         self._indexes.attach_metrics(registry)
         self._object_hit_counter = registry.counter(
             "store.object_cache.hits")
         self._fault_counter = registry.counter("store.record_faults")
-        if self.csr_fallback is not None and first_attach:
-            # an open-time event, not traffic: every registry that
-            # watches this store sees it once (a ShardedStore re-binds
-            # its shards to the registry they already have)
-            registry.counter("store.csr_fallbacks").inc()
 
     # -- cache control ----------------------------------------------------------
 
@@ -1733,11 +1689,17 @@ class StoreGraph:
     def _csr_read(self, read: Callable[..., Any], node_id: int,
                   direction: Direction,
                   types: Collection[str] | None) -> Any:
-        """What *read* (a :class:`CsrReader` accessor) finds for
+        """What *read* (a :class:`CsrReader` method) finds for
         *node_id*, in ``edges_of`` group order: out then in, tokens
         ascending."""
+        reader = self._csr_reader
+        if reader is None:
+            raise StoreFormatError(
+                f"store {self.directory!r} is open for compaction with "
+                "its compiled CSR set aside: typed and neighbour "
+                "adjacency read that CSR")
         self._fault_counter.inc()
-        found = read(node_id, _CSR_DIRECTIONS[direction],
+        found = read(reader, node_id, _CSR_DIRECTIONS[direction],
                      self._wanted_tokens(types))
         if not found:
             self._live_node(node_id)  # dead ids must still raise
@@ -1746,10 +1708,10 @@ class StoreGraph:
     def edges_of(self, node_id: int,
                  direction: Direction = Direction.BOTH,
                  types: Collection[str] | None = None) -> Iterator[int]:
-        if types is not None and self._csr_reader is not None:
-            # typed scan over a compiled store: only the edge-id
-            # column of the wanted (direction, type) runs is read —
-            # the full adjacency block is never assembled
+        if types is not None:
+            # typed scan: only the edge-id column of the wanted
+            # (direction, type) CSR runs is read — the full adjacency
+            # block is never assembled
             yield from self._cached_adjacency(node_id, direction, types,
                                              _EDGE_IDS)
             return
@@ -1767,9 +1729,9 @@ class StoreGraph:
     def degree(self, node_id: int,
                direction: Direction = Direction.BOTH,
                types: Collection[str] | None = None) -> int:
-        if types is not None and self._csr_reader is not None:
+        if types is not None:
             # a difference of two offsets per run: no csr.db page
-            return self._csr_read(self._csr_reader.degree, node_id,
+            return self._csr_read(csr_mod.CsrReader.degree, node_id,
                                   direction, types)
         out_groups, in_groups = self._adjacency(node_id)
         wanted = self._wanted_tokens(types)
@@ -1782,33 +1744,6 @@ class StoreGraph:
                          if wanted is None or token in wanted)
         return total
 
-    def resolve_neighbors(self, node_id: int,
-                          edge_ids: Collection[int],
-                          ) -> list[tuple[int, int]]:
-        """Bulk ``(edge_id, other_end)`` over the rel-record cache.
-
-        The batch executor hands back whole adjacency lists, so the
-        common case is every record already decoded: one cache lookup
-        per edge and a single counter update for the run, instead of
-        the ``edge_source``/``edge_target`` call pair (each a
-        ``_live_rel`` liveness re-check) per edge. Edges are known
-        live — they came from this store's own adjacency groups."""
-        cache = self._rel_cache
-        pairs = []
-        hits = 0
-        for edge_id in edge_ids:
-            record = cache.get(edge_id)
-            if record is None:
-                record = self._rel_record(edge_id)  # counts its fault
-            else:
-                hits += 1
-            source = record[2]
-            pairs.append((edge_id,
-                          source if source != node_id else record[3]))
-        if hits:
-            self._object_hit_counter.inc(hits)
-        return pairs
-
     def _cached_adjacency(self, node_id: int, direction: Direction,
                           types: Collection[str] | None,
                           part: int) -> Any:
@@ -1817,10 +1752,9 @@ class StoreGraph:
         earlier call read them: the store is immutable once open, so
         nothing cached goes stale.
 
-        A compiled store reads only the CSR column asked for and
-        keeps it as stored (a single run is the ``u32`` view itself),
-        and its pairs are a zip of the two columns; the record path
-        resolves the far ends from the rel records."""
+        Only the CSR column asked for is read, and kept as stored (a
+        single run is the ``u32`` view itself); pairs are a zip of the
+        two columns."""
         if types is not None and not isinstance(types, tuple):
             types = tuple(types)
         cache = self._neighbor_cache
@@ -1829,16 +1763,7 @@ class StoreGraph:
         if found is not None:
             self._object_hit_counter.inc()
             return found
-        reader = self._csr_reader
-        if reader is None and part == _EDGE_IDS:
-            found = tuple(self.edges_of(node_id, direction, types))
-        elif reader is None:
-            found = self.resolve_neighbors(
-                node_id, self._cached_adjacency(node_id, direction, types,
-                                                _EDGE_IDS))
-            if part == _NEIGHBOURS:
-                found = [neighbor for _edge, neighbor in found]
-        elif part == _PAIRS:
+        if part == _PAIRS:
             found = list(zip(
                 self._cached_adjacency(node_id, direction, types,
                                        _EDGE_IDS),
@@ -1846,8 +1771,9 @@ class StoreGraph:
                                        _NEIGHBOURS)))
         else:
             runs = self._csr_read(
-                reader.edge_ids if part == _EDGE_IDS
-                else reader.neighbor_ids, node_id, direction, types)
+                csr_mod.CsrReader.edge_ids if part == _EDGE_IDS
+                else csr_mod.CsrReader.neighbor_ids,
+                node_id, direction, types)
             found = runs[0] if len(runs) == 1 else \
                 [value for run in runs for value in run]
         cache[key] = found
@@ -1870,8 +1796,7 @@ class StoreGraph:
                         types: Collection[str] | None = None,
                         ) -> Collection[int]:
         """The neighbours of :meth:`neighbors_of` without the edges —
-        what a closure reads; on a compiled store the edge-id column
-        is not touched."""
+        what a closure reads; the edge-id column is not touched."""
         return self._cached_adjacency(node_id, direction, types,
                                      _NEIGHBOURS)
 
@@ -1938,12 +1863,11 @@ class StoreGraph:
     def _decode_adjacency_groups(self, node_id: int) -> tuple[Any, Any]:
         """Physically materialize one node's (out, in) edge groups.
 
-        Always the record path — one contiguous adjacency-block decode
-        is cheaper than reassembling every (direction, type) group
-        from per-segment CSR runs, so full-adjacency requests stay on
-        it even for compiled stores.  The compiled CSR serves the
-        *selective* reads (typed ``edges_of``/``neighbors_of``), where
-        decoding only the wanted runs wins.
+        Always the adjacency block — one contiguous decode is cheaper
+        than probing every (direction, type) CSR segment, so untyped
+        edge-id and degree requests stay on it.  The compiled CSR
+        serves the typed and neighbour reads, where reading only the
+        wanted runs wins.
         """
         record = self._live_node(node_id)
         block = self._adj.read(record[3], record[4])

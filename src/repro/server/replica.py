@@ -43,8 +43,8 @@ import time
 from typing import Any
 
 from repro.cypher.options import QueryOptions
-from repro.errors import (QueryTimeoutError, ReplicaCrashedError,
-                          ServerError)
+from repro.errors import (FrappeError, QueryTimeoutError,
+                          ReplicaCrashedError, ServerError)
 from repro.obs import Observability
 from repro.server import wire
 from repro.server.executor import Executor
@@ -73,15 +73,20 @@ def _worker_main(conn: Any, store_dir: str,
 
     Runs single-threaded and in request order — determinism the
     crash-replay logic relies on (a replayed query cannot interleave
-    with itself).
+    with itself).  A store that cannot be opened is answered with an
+    ``error`` handshake the parent raises, not a traceback.
     """
     # import here: under the spawn start method this module is
     # re-imported in a fresh interpreter before this function runs
     from repro.core.config import StoreConfig
     from repro.core.frappe import Frappe
 
-    frappe = Frappe.open(store_dir,
-                         config=StoreConfig.from_dict(config_payload))
+    try:
+        frappe = Frappe.open(store_dir,
+                             config=StoreConfig.from_dict(config_payload))
+    except FrappeError as error:
+        conn.send({"op": "error", "error": wire.error_to_dict(error)})
+        return
     try:
         conn.send({"op": "ready", "pid": os.getpid()})
         while True:
@@ -169,6 +174,10 @@ class Replica:
             raise ServerError(
                 f"replica {index} died while opening the store "
                 f"(exit code {self.process.exitcode})") from error
+        if ready.get("op") == "error":
+            self.process.join(timeout=5.0)
+            parent_conn.close()
+            raise wire.exception_from_dict(ready["error"])
         if ready.get("op") != "ready":
             self.process.terminate()
             raise ServerError(

@@ -235,8 +235,7 @@ class ShardRouter:
         self._decision_lock = threading.Lock()
         if config is None:
             config = StoreConfig(mmap=True)
-        self.store = ShardedStore(
-            root, use_compiled_csr=config.use_compiled_csr)
+        self.store = ShardedStore(root)
         self.gateway = Frappe(self.store, obs=self.obs)
         self.replica_sets: list[ReplicaSet] = []
         self.shard_engines: list[Any] = []

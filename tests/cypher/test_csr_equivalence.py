@@ -1,13 +1,15 @@
-"""Property-based compiled-CSR vs record-decode equivalence.
+"""Property-based compiled-CSR vs adjacency-block equivalence.
 
-The compiled CSR adjacency is a pure physical-layer change: for any
-graph and any traversal query, a compiled store must produce the same
-columns, the same rows in the same order, the same profiled db-hit
-totals, and the same PROFILE operator tree (modulo wall-clock times)
-as the record-decode path — in both buffered and mmap cache modes.
-db-hit parity is the sharp edge: the execution context charges hits
-above the physical layer, so a CSR read that touched a different
-*number* of logical adjacency requests would show up here first.
+The compiled CSR adjacency is a pure physical-layer structure: for any
+graph and any traversal query, a store must produce the same columns,
+the same rows in the same order, the same profiled db-hit totals, and
+the same PROFILE operator tree (modulo wall-clock times) in buffered
+and mmap cache modes as the block-only reference (:class:`BlockView`:
+typed reads filter the block's untyped ``edges_of``, far ends come
+from relationship records).  db-hit parity is the sharp edge: the
+execution context charges hits above the physical layer, so a CSR
+read that touched a different *number* of logical adjacency requests
+would show up here first.
 
 Stores are written to ``tempfile.mkdtemp`` (not ``tmp_path``) because
 hypothesis re-runs the test body many times per fixture instantiation.
@@ -25,15 +27,19 @@ from repro.core.config import StoreConfig
 from repro.core.frappe import Frappe
 from repro.cypher import QueryOptions
 from repro.graphdb import Direction, PropertyGraph
-from repro.graphdb.storage import GraphStore, ShardedStore, split_store
+from repro.errors import StoreFormatError
+from repro.graphdb.storage import (GraphStore, PageCache, ShardedStore,
+                                   compact_store, split_store)
 from repro.graphdb.storage import store as store_mod
 from repro.graphdb.view import neighbor_ids, neighbor_pairs, other_end
+from tests.graphdb.block_view import BlockView
 
 _NAMES = ["alpha", "beta", "gamma"]
 _EDGE_TYPES = ["calls", "reads", "writes"]
 
-#: the (use_compiled_csr, mmap) grid; index 0 is the baseline
-_CONFIGS = [(False, False), (False, True), (True, False), (True, True)]
+#: the cache modes a store is opened in (the grid beside the
+#: block-only reference)
+_MMAP = (False, True)
 
 
 @st.composite
@@ -90,22 +96,34 @@ def _normalize(profile):
     return re.sub(r"time[=:][0-9.]+\S*", "", str(profile))
 
 
+def _reference(directory):
+    """The block-only reference over *directory*, as a facade."""
+    return Frappe(BlockView(GraphStore.open(directory)))
+
+
+def _opened(directory):
+    """The reference first, then the store in each cache mode."""
+    yield "block", _reference(directory)
+    for mmap in _MMAP:
+        yield f"mmap={mmap}", Frappe.open(
+            directory, config=StoreConfig(mmap=mmap))
+
+
 def run_matrix(graph, text, mode):
     directory = tempfile.mkdtemp(prefix="csr-equiv-")
     try:
         GraphStore.write(graph, directory)
         observed = []
-        for use_csr, mmap in _CONFIGS:
-            with Frappe.open(directory, config=StoreConfig(
-                    mmap=mmap, use_compiled_csr=use_csr)) as frappe:
+        for name, opened in _opened(directory):
+            with opened as frappe:
                 result = frappe.query(text, options=QueryOptions(
                     execution_mode=mode, profile=True))
-                observed.append((result.columns, result.rows,
-                                 result.stats.db_hits,
-                                 _normalize(result.profile)))
-        baseline = observed[0]
-        for config, other in zip(_CONFIGS[1:], observed[1:]):
-            assert other == baseline, (text, mode, config)
+                observed.append((name, (result.columns, result.rows,
+                                        result.stats.db_hits,
+                                        _normalize(result.profile))))
+        baseline = observed[0][1]
+        for name, other in observed[1:]:
+            assert other == baseline, (text, mode, name)
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
@@ -144,9 +162,8 @@ class TestCompiledCsrEquivalence:
         try:
             GraphStore.write(graph, directory)
             slices = []
-            for use_csr, mmap in _CONFIGS:
-                with Frappe.open(directory, config=StoreConfig(
-                        mmap=mmap, use_compiled_csr=use_csr)) as frappe:
+            for _name, opened in _opened(directory):
+                with opened as frappe:
                     slices.append([
                         (frappe.backward_slice(name),
                          frappe.forward_slice(name))
@@ -157,21 +174,27 @@ class TestCompiledCsrEquivalence:
 
     @settings(max_examples=15, deadline=None)
     @given(graph=stored_graphs(max_nodes=5), query=traversal_queries())
-    def test_damaged_csr_answers_from_records(self, graph, query):
-        """A torn compiled segment must never change an answer: the
-        reader refuses it at open and the record path serves."""
+    def test_damaged_csr_is_refused_and_compact_restores_answers(
+            self, graph, query):
+        """A torn compiled segment must never change an answer: open
+        refuses it, and after compact the store answers as before."""
         assume(graph.edge_count() > 0)  # else the CSR payload is empty
         text, mode = query
         directory = tempfile.mkdtemp(prefix="csr-equiv-")
         try:
             GraphStore.write(graph, directory)
-            with Frappe.open(directory, config=StoreConfig(
-                    use_compiled_csr=False)) as frappe:
+            with Frappe.open(directory) as frappe:
                 want = frappe.query(text, options=QueryOptions(
                     execution_mode=mode)).rows
             _truncate_csr(directory)
+            try:
+                Frappe.open(directory)
+            except StoreFormatError as error:
+                assert "run `frappe compact`" in str(error)
+            else:
+                raise AssertionError("a torn csr.db was served")
+            compact_store(directory)
             with Frappe.open(directory) as frappe:
-                assert frappe.view._csr_reader is None
                 got = frappe.query(text, options=QueryOptions(
                     execution_mode=mode)).rows
             assert got == want
@@ -188,20 +211,16 @@ class TestCompiledCsrEquivalence:
         pairs."""
         _plant_subtrees(graph)
         directory = tempfile.mkdtemp(prefix="csr-equiv-")
-        damaged = directory + "-damaged"
         shards = directory + "-shards"
         stores = []
         try:
             GraphStore.write(graph, directory)
             split_store(directory, shards, 2)
-            shutil.copytree(directory, damaged)
-            _truncate_csr(damaged)
-            stores = [GraphStore.open(directory, use_compiled_csr=False),
+            stores = [BlockView(GraphStore.open(directory)),
                       GraphStore.open(directory),
-                      GraphStore.open(damaged),
+                      GraphStore.open(directory,
+                                      page_cache=PageCache(mode="mmap")),
                       ShardedStore(shards)]
-            assert stores[1]._csr_reader is not None
-            assert stores[2]._csr_reader is None
             assert len({stores[3].node_owner(node_id)
                         for node_id in graph.node_ids()}) == 2
             for node_id in graph.node_ids():
@@ -230,5 +249,5 @@ class TestCompiledCsrEquivalence:
         finally:
             for store in stores:
                 store.close()
-            for path in (directory, damaged, shards):
+            for path in (directory, shards):
                 shutil.rmtree(path, ignore_errors=True)

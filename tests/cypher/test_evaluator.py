@@ -204,18 +204,20 @@ class TestNeighborIdAccounting:
         g.add_edge(0, 2, "reads")
         return g
 
+    # "records": the same store read through its adjacency block and
+    # relationship records alone, no CSR
     @pytest.fixture(params=["memory", "compiled", "records"])
     def view(self, request, graph, tmp_path):
         if request.param == "memory":
             yield graph
             return
         from repro.graphdb.storage import GraphStore
+        from tests.graphdb.block_view import BlockView
         directory = str(tmp_path / "store")
         GraphStore.write(graph, directory)
-        with GraphStore.open(
-                directory,
-                use_compiled_csr=request.param == "compiled") as store:
-            yield store
+        with GraphStore.open(directory) as store:
+            yield store if request.param == "compiled" \
+                else BlockView(store)
 
     @pytest.mark.parametrize("ids_first", [True, False])
     def test_charged_once_whichever_reads_first(self, view, ids_first):

@@ -7,7 +7,6 @@ var-length expand operator, and a store-backed warm run's cache hit
 ratio strictly exceeds the cold run's.
 """
 
-import gc
 
 import pytest
 
@@ -189,19 +188,16 @@ class TestE8Attribution:
         # the Section 6.1 blow-up: with the reachability rewrite off,
         # the var-length expansion enumerates every path
         engine = CypherEngine(layered, use_reachability_rewrite=False)
-        # "hottest" is by wall time: late in a full-suite run a pending
-        # full collection landing inside Distinct has outweighed the
-        # expansion (seen at the parent commit too) — collect first
-        gc.collect()
         result = engine.profile(self.CLOSURE)
         plan = result.profile
         assert len(result) == 20  # closure: 4 layers of 5
-        hottest = plan.hottest()
-        assert hottest is not None
-        assert hottest.name == "VarLengthExpand"
-        # path enumeration also dominates the db-hit account
+        # dominance is judged on the deterministic counters, never on
+        # wall time (a collection landing in another operator can
+        # outweigh the expansion): the expansion does most of the
+        # db-hits and emits more rows than any other operator
         expand = plan.find_one("VarLengthExpand")
         assert expand.db_hits > plan.total_db_hits() / 2
+        assert expand.rows == max(op.rows for op in plan.operators())
         # far more paths enumerated than distinct results
         assert expand.rows > len(result) * 5
 

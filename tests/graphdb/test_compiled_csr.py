@@ -1,14 +1,14 @@
 """Compiled CSR adjacency + dictionary pages (store format 3).
 
 The compiled layer is *derived* data: everything here checks the two
-invariants that make it safe to ship — (1) answers through the CSR
-fast path are identical to the record-decode path, byte for byte, and
-(2) any damage to the compiled files falls back to records (never
-wrong answers, one logged warning) and is repairable by ``compact``.
+invariants that make it safe to ship — (1) answers through the CSR are
+identical to reading the adjacency block and relationship records
+alone (:class:`BlockView`), byte for byte, and (2) a store whose CSR
+cannot be served is refused at open with a located error, graded
+repairable by fsck, and made whole by ``compact``.
 """
 
 import json
-import logging
 import os
 import zlib
 
@@ -23,9 +23,12 @@ from repro.graphdb.storage import (GraphStore, PageCache, PagedFile,
                                    compact_store, records)
 from repro.graphdb.storage import csr as csr_mod
 from repro.graphdb.storage import store as store_mod
-from repro.graphdb.storage.faults import stamp_csr_layout
+from repro.graphdb.storage.faults import (rewrite_metadata,
+                                          stamp_csr_layout,
+                                          strip_compiled_csr)
 from repro.graphdb.traversal import TraversalDescription
-from repro.graphdb.view import other_end
+from repro.graphdb.view import neighbor_pairs
+from tests.graphdb.block_view import BlockView
 
 
 @pytest.fixture
@@ -241,20 +244,18 @@ class TestCsrRoundTrip:
     def test_neighbors_carry_correct_endpoints(self, sample_graph,
                                                store_dir):
         with GraphStore.open(store_dir) as compiled, \
-                GraphStore.open(store_dir,
-                                use_compiled_csr=False) as fallback:
+                BlockView(GraphStore.open(store_dir)) as fallback:
             for node_id in sample_graph.node_ids():
                 for direction in (Direction.OUT, Direction.IN,
                                   Direction.BOTH):
                     assert compiled.neighbors_of(node_id, direction) == \
-                        fallback.neighbors_of(node_id, direction)
+                        neighbor_pairs(fallback, node_id, direction)
 
     def test_typed_edges_of_identical_to_fallback(self, store_dir):
+        """The block-only reference is what a typed read once fell
+        back to."""
         with GraphStore.open(store_dir) as compiled, \
-                GraphStore.open(store_dir,
-                                use_compiled_csr=False) as fallback:
-            assert compiled._csr_reader is not None
-            assert fallback._csr_reader is None
+                BlockView(GraphStore.open(store_dir)) as fallback:
             for node_id in compiled.node_ids():
                 for types in (("calls",), ("calls", "reads"),
                               ("no_such_type",), None):
@@ -267,8 +268,7 @@ class TestCsrRoundTrip:
     def test_typed_degree_identical_and_reads_no_column(self, store_dir):
         """Degree is a difference of two offsets: csr.db stays cold."""
         with GraphStore.open(store_dir) as compiled, \
-                GraphStore.open(store_dir,
-                                use_compiled_csr=False) as fallback:
+                BlockView(GraphStore.open(store_dir)) as fallback:
             compiled.evict_caches()
             for node_id in compiled.node_ids():
                 for types in (("calls",), ("reads", "calls"),
@@ -303,12 +303,11 @@ class TestCsrRoundTrip:
     def test_mmap_mode_serves_zero_copy(self, sample_graph, store_dir):
         with GraphStore.open(store_dir,
                              page_cache=PageCache(mode="mmap")) as mapped, \
-                GraphStore.open(store_dir,
-                                use_compiled_csr=False) as fallback:
+                BlockView(GraphStore.open(store_dir)) as fallback:
             assert mapped._csr_reader is not None
             for node_id in sample_graph.node_ids():
                 assert mapped.neighbors_of(node_id, Direction.BOTH) == \
-                    fallback.neighbors_of(node_id, Direction.BOTH)
+                    neighbor_pairs(fallback, node_id, Direction.BOTH)
             assert mapped._csr_reader._buffer is not None  # whole-file view
 
 
@@ -350,8 +349,7 @@ class TestNativesAgreeOnEveryView:
             self, case, sample_graph, store_dir):
         run = NATIVE_CASES[case]
         with GraphStore.open(store_dir) as compiled, \
-                GraphStore.open(store_dir,
-                                use_compiled_csr=False) as records_only:
+                BlockView(GraphStore.open(store_dir)) as records_only:
             assert run(compiled) == run(records_only) == \
                 run(sample_graph)
 
@@ -370,8 +368,7 @@ class TestNativesStayOffRelRecords:
 
     def test_typed_natives_read_no_rel_pages(self, store_dir):
         with GraphStore.open(store_dir) as compiled, \
-                GraphStore.open(store_dir,
-                                use_compiled_csr=False) as records_only:
+                BlockView(GraphStore.open(store_dir)) as records_only:
             for sg in (compiled, records_only):
                 sg.evict_caches()
             assert self._traverse(compiled) == \
@@ -404,8 +401,36 @@ class TestNativesStayOffRelRecords:
 
 
 # --------------------------------------------------------------------------
-# Format versioning and fallback
+# Format versioning and refusal
 # --------------------------------------------------------------------------
+
+def _answers(directory):
+    """What a store says: every node's typed and untyped adjacency and
+    a closure, through the CSR-serving open."""
+    with GraphStore.open(directory) as sg:
+        return ([(list(sg.neighbors_of(node_id, Direction.BOTH)),
+                  list(sg.edges_of(node_id, Direction.BOTH,
+                                   ("calls", "reads"))),
+                  sg.node_properties(node_id))
+                 for node_id in sg.node_ids()],
+                algo.reachable_nodes(sg, 0))
+
+
+def _refused(directory, reason, mode="buffered"):
+    """Open refuses *directory* naming it, *reason* and the repair;
+    fsck grades it repairable; compact makes it clean."""
+    with pytest.raises(StoreFormatError) as caught:
+        GraphStore.open(directory, page_cache=PageCache(mode=mode))
+    message = str(caught.value)
+    assert repr(directory) in message and reason in message
+    assert message.endswith("run `frappe compact`")
+    verification = GraphStore.verify(directory)
+    assert verification.status == "repairable", verification.problems
+    assert {p.category for p in verification.problems} == {"csr"}
+    compact_store(directory)
+    assert GraphStore.verify(directory).status == "clean"
+    return message
+
 
 class TestFormatV3:
     def test_compiled_store_is_v3_with_all_files(self, store_dir):
@@ -417,29 +442,13 @@ class TestFormatV3:
                      store_mod.DICT_FILE):
             assert os.path.exists(os.path.join(store_dir, name))
 
-    def test_legacy_write_is_v2_without_compiled_files(self, tmp_path,
-                                                       sample_graph):
-        directory = str(tmp_path / "legacy")
-        GraphStore.write(sample_graph, directory, compiled=False)
-        with open(os.path.join(directory, "metadata.json")) as handle:
-            metadata = json.load(handle)
-        assert metadata["version"] == 2
-        assert "csr" not in metadata
-        for name in (store_mod.CSR_FILE, store_mod.CSR_OFFSETS_FILE,
-                     store_mod.DICT_FILE):
-            assert not os.path.exists(os.path.join(directory, name))
-
-    def test_legacy_store_opens_with_silent_fallback(self, tmp_path,
-                                                     sample_graph,
-                                                     caplog):
-        directory = str(tmp_path / "legacy")
-        GraphStore.write(sample_graph, directory, compiled=False)
-        with GraphStore.open(directory) as sg:
-            assert sg._csr_reader is None
-            assert not caplog.records  # nothing was lost: not a fault
-            assert sg.format_version == 2
-            assert set(sg.edges_of(1, Direction.BOTH)) == \
-                set(sample_graph.edges_of(1, Direction.BOTH))
+    def test_legacy_store_is_refused_until_compacted(self, store_dir):
+        """A format-2 store (made by stripping a format-3 one) has no
+        CSR: refused, repairable, and compact restores every answer."""
+        want = _answers(store_dir)
+        strip_compiled_csr(store_dir)
+        _refused(store_dir, "format 2: no compiled CSR")
+        assert _answers(store_dir) == want
 
     def test_unknown_version_rejected(self, store_dir):
         path = os.path.join(store_dir, "metadata.json")
@@ -451,83 +460,112 @@ class TestFormatV3:
         with pytest.raises(StoreFormatError):
             GraphStore.open(store_dir)
 
-    def test_damaged_csr_falls_back_and_says_so(self, sample_graph,
-                                                store_dir, caplog):
+    def test_damaged_csr_is_refused_with_its_size(self, store_dir):
+        want = _answers(store_dir)
         path = os.path.join(store_dir, store_mod.CSR_FILE)
+        size = os.path.getsize(path)
         with open(path, "r+b") as handle:
-            handle.truncate(max(0, os.path.getsize(path) - 3))
-        with caplog.at_level(logging.WARNING, logger="repro.storage"), \
-                Frappe.open(store_dir) as fr:
-            sg = fr.view
-            assert sg._csr_reader is None  # size mismatch -> records
-            for node_id in sample_graph.node_ids():
-                assert set(sg.edges_of(node_id, Direction.BOTH)) == \
-                    set(sample_graph.edges_of(node_id, Direction.BOTH))
-            assert fr.counters()["store.csr_fallbacks"] == 1
-        [record] = caplog.records
-        assert record.name == "repro.storage"
-        assert store_dir in record.getMessage()
-        assert store_mod.CSR_FILE in record.getMessage()
+            handle.truncate(size - 3)
+        with pytest.raises(StoreFormatError) as caught:
+            Frappe.open(store_dir)
+        assert f"csr.db is {size - 3} bytes, descriptor says {size}" \
+            in str(caught.value)
+        _refused(store_dir, "csr.db")
+        assert _answers(store_dir) == want
 
-    def test_missing_csr_file_falls_back(self, store_dir, caplog):
+    def test_missing_csr_file_is_refused(self, store_dir):
         os.unlink(os.path.join(store_dir, store_mod.CSR_OFFSETS_FILE))
-        with GraphStore.open(store_dir) as sg:
-            assert sg._csr_reader is None
-            sg.attach_metrics(sg.metrics)  # as ShardedStore re-binds
-            assert sg.metrics.snapshot()["store.csr_fallbacks"] == 1
-        [record] = caplog.records
-        assert store_mod.CSR_OFFSETS_FILE in record.getMessage()
+        _refused(store_dir, f"{store_mod.CSR_OFFSETS_FILE} unreadable")
 
-    def test_descriptor_without_sizes_falls_back(self, store_dir,
-                                                 caplog):
-        path = os.path.join(store_dir, "metadata.json")
-        with open(path) as handle:
-            metadata = json.load(handle)
-        del metadata["csr"]["payload_bytes"]
-        with open(path, "w") as handle:
-            json.dump(metadata, handle)
-        with GraphStore.open(store_dir) as sg:
-            assert sg._csr_reader is None
-        [record] = caplog.records
-        assert "payload_bytes" in record.getMessage()
+    def test_descriptor_without_sizes_is_refused(self, store_dir):
+        rewrite_metadata(store_dir,
+                         lambda metadata: metadata["csr"].pop(
+                             "payload_bytes"))
+        _refused(store_dir, "descriptor says None")
 
-    def test_layout_1_descriptor_is_not_decoded(self, sample_graph,
-                                                store_dir, caplog):
-        """A store compiled before the column layout: records serve,
-        one warning, one counter tick, the same answers."""
+    def test_layout_1_descriptor_is_not_decoded(self, store_dir):
+        """A store compiled before the column layout is refused, not
+        decoded, until compact rewrites it."""
+        want = _answers(store_dir)
         stamp_csr_layout(store_dir, 1)
-        with caplog.at_level(logging.WARNING, logger="repro.storage"), \
-                Frappe.open(store_dir) as fr:
-            sg = fr.view
-            assert sg._csr_reader is None
-            assert sg.csr_fallback == "csr layout 1, run `frappe compact`"
-            assert fr.counters()["store.csr_fallbacks"] == 1
-            for node_id in sample_graph.node_ids():
-                assert sorted(sg.neighbors_of(node_id, Direction.BOTH,
-                                              ("calls", "reads"))) == \
-                    sorted((edge, other_end(sample_graph, edge, node_id))
-                           for edge in sample_graph.edges_of(
-                               node_id, Direction.BOTH,
-                               ("calls", "reads")))
-            assert algo.reachable_nodes(sg, 0) == \
-                algo.reachable_nodes(sample_graph, 0)
-        [record] = caplog.records
-        assert "csr layout 1" in record.getMessage()
-        verification = GraphStore.verify(store_dir)
-        assert verification.status == "repairable"
-        [problem] = verification.problems
+        with pytest.raises(StoreFormatError) as caught:
+            Frappe.open(store_dir)
+        assert str(caught.value) == \
+            f"store {store_dir!r}: csr layout 1, run `frappe compact`"
+        [problem] = GraphStore.verify(store_dir).problems
         assert problem.category == "csr" and "layout 1" in problem.message
-        compact_store(store_dir)
-        assert GraphStore.verify(store_dir).status == "clean"
-        with GraphStore.open(store_dir) as sg:
-            assert sg._csr_reader is not None and sg.csr_fallback is None
+        _refused(store_dir, "csr layout 1")
+        assert _answers(store_dir) == want
 
-    def test_no_csr_is_a_choice_and_stays_quiet(self, store_dir, caplog):
-        with Frappe.open(store_dir, config=StoreConfig(
-                use_compiled_csr=False)) as fr:
-            assert fr.view._csr_reader is None
-            assert "store.csr_fallbacks" not in fr.counters()
-        assert not caplog.records
+    def test_compaction_instance_has_no_typed_adjacency(self, store_dir):
+        """compact_store reads untyped adjacency from the block; with
+        the CSR set aside, typed and neighbour reads raise instead of
+        reviving a second path."""
+        metadata = store_mod._load_metadata(store_dir)
+        metadata.pop("csr")
+        with store_mod.StoreGraph(store_dir, metadata,
+                                  PageCache()) as sg:
+            assert list(sg.edges_of(1, Direction.OUT))
+            for read in (lambda: list(sg.edges_of(1, Direction.OUT,
+                                                  ("calls",))),
+                         lambda: sg.degree(1, Direction.OUT, ("calls",)),
+                         lambda: sg.neighbors_of(1, Direction.OUT),
+                         lambda: sg.neighbor_ids_of(1, Direction.OUT)):
+                with pytest.raises(StoreFormatError, match="set aside"):
+                    read()
+
+
+def _last(field, value_of):
+    """A metadata edit setting the last segment's *field*."""
+    def edit(metadata):
+        segment = metadata["csr"]["segments"][-1]
+        segment[field] = value_of(segment, metadata["csr"])
+    return edit
+
+
+#: malformed descriptors that agree on both file sizes: name ->
+#: (metadata edit, what the refusal says)
+MALFORMED_SEGMENTS = {
+    "missing_key": (lambda metadata: metadata["csr"]["segments"][-1].pop(
+        "edges"), "edges is None, not a non-negative integer"),
+    "not_an_integer": (_last("base", lambda seg, _d: str(seg["base"])),
+                       "base is '"),
+    "negative": (_last("span", lambda _s, _d: -1),
+                 "span is -1, not a non-negative integer"),
+    "misaligned": (_last("payload_offset",
+                         lambda seg, _d: seg["payload_offset"] + 2),
+                   "not 4-byte aligned"),
+    "columns_disagree_with_edges": (
+        _last("edges", lambda seg, _d: seg["edges"] + 1),
+        "entries need"),
+    "offsets_disagree_with_span": (
+        _last("span", lambda seg, _d: seg["span"] + 1), "a span of"),
+    "columns_overrun_csr_db": (
+        _last("payload_offset", lambda _s, desc: desc["payload_bytes"]),
+        "past csr.db's"),
+    "offsets_overrun_offsets_file": (
+        _last("offsets_offset", lambda _s, desc: desc["offsets_bytes"]),
+        "past csr.offsets.db's"),
+}
+
+
+class TestMalformedDescriptor:
+    """Open checks every segment in O(segments): a descriptor that
+    would send a reader past a file, or a field that is not an
+    integer, is a located refusal in either cache mode — never a bare
+    KeyError, an empty ``max()`` or a silently short run."""
+
+    @pytest.mark.parametrize("mode", ["buffered", "mmap"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SEGMENTS))
+    def test_refused_located_and_repaired(self, store_dir, case, mode):
+        edit, says = MALFORMED_SEGMENTS[case]
+        want = _answers(store_dir)
+        rewrite_metadata(store_dir, edit)
+        with open(os.path.join(store_dir, "metadata.json")) as handle:
+            last = len(json.load(handle)["csr"]["segments"]) - 1
+        message = _refused(store_dir, says, mode)
+        assert f"csr segment {last}" in message
+        assert _answers(store_dir) == want
 
 
 # --------------------------------------------------------------------------
@@ -613,7 +651,8 @@ class TestVerifyAndRepair:
 class TestCompact:
     def test_compacts_legacy_to_v3(self, tmp_path, sample_graph):
         directory = str(tmp_path / "legacy")
-        GraphStore.write(sample_graph, directory, compiled=False)
+        GraphStore.write(sample_graph, directory)
+        strip_compiled_csr(directory)
         sizes = compact_store(directory)
         assert sizes["csr"] > 0 and sizes["dictionary"] > 0
         with open(os.path.join(directory, "metadata.json")) as handle:
@@ -645,11 +684,6 @@ class TestDegreeStats:
             assert stats.max_degree("file_contains", "out") == 2
             hist = stats.degree_histogram("calls", "out")
             assert sum(hist) > 0
-
-    def test_populated_even_with_reader_disabled(self, store_dir):
-        with GraphStore.open(store_dir, use_compiled_csr=False) as sg:
-            assert sg._csr_reader is None
-            assert sg.statistics.max_degree("file_contains", "out") == 2
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import shutil
 import signal
 import threading
 import time
@@ -12,11 +13,13 @@ from repro.core.config import StoreConfig
 from repro.core.frappe import Frappe
 from repro.client import FrappeClient
 from repro.cypher import QueryOptions
-from repro.errors import QueryTimeoutError, ServerError
+from repro.errors import QueryTimeoutError, ServerError, StoreFormatError
+from repro.obs import Observability
 from repro.server import wire
 from repro.server.http import HttpServer
 from repro.server.replica import (INITIAL_REPLY_BYTES, ReplicaBackend,
                                   ReplicaSet)
+from tests.graphdb.block_view import UNSERVABLE
 
 COUNT_QUERY = "MATCH (n:function) RETURN count(*) AS n"
 
@@ -301,3 +304,25 @@ class TestReplicaHttpStack:
             result = wire.result_from_ndjson(
                 replicas.execute(COUNT_QUERY))
             assert result.stats.execution_mode == "rows"
+
+
+class TestUnservableStoreRefused:
+    """A replica tier over a store whose CSR cannot be served fails
+    fast with the compact message: the worker answers the handshake
+    with the error instead of a traceback, and nothing is respawned."""
+
+    @pytest.mark.parametrize("kind", sorted(UNSERVABLE))
+    def test_replica_set_raises_the_open_error(self, saved_store,
+                                               tmp_path, kind):
+        damage, reason = UNSERVABLE[kind]
+        store = shutil.copytree(saved_store, str(tmp_path / "aged"))
+        damage(store)
+        obs = Observability()
+        with pytest.raises(StoreFormatError) as caught:
+            ReplicaSet(store, replicas=1, obs=obs)
+        message = str(caught.value)
+        assert repr(store) in message and reason in message
+        assert message.endswith("run `frappe compact`")
+        counters = obs.registry.snapshot()
+        assert counters["replica.respawns"] == 0
+        assert counters["replica.crashes"] == 0

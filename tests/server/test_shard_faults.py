@@ -8,18 +8,22 @@ repairable class.
 """
 
 import os
+import shutil
 import signal
 import time
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.errors import ShardCrashedError
-from repro.graphdb.storage import (REPAIRABLE, split_store,
+from repro.core.frappe import Frappe
+from repro.errors import ShardCrashedError, StoreFormatError
+from repro.graphdb.storage import (CLEAN, REPAIRABLE, ShardedStore,
+                                   compact_shard_root, split_store,
                                    verify_shard_root)
 from repro.graphdb.storage.faults import corrupt_boundary_table
 from repro.server import wire
 from repro.server.shard import ShardBackend, ShardRouter
+from tests.graphdb.block_view import UNSERVABLE
 
 SCATTER_QUERY = "MATCH (n:function) RETURN count(n)"
 
@@ -116,3 +120,33 @@ class TestBoundaryCorruption:
         assert cli_main(["fsck", str(root)]) == 2
         printed = capsys.readouterr().out.lower()
         assert "repairable" in printed
+
+
+class TestUnservableShard:
+    """One shard whose CSR cannot be served: the shard root is refused
+    at open naming that shard, fsck grades the root repairable, and
+    compacting the root restores the undamaged answers."""
+
+    QUERY = "MATCH (a:function)-[:calls]->(b) RETURN count(*)"
+
+    @pytest.mark.parametrize("kind", sorted(UNSERVABLE))
+    def test_refused_per_shard_then_compacted(self, shard_root, tmp_path,
+                                              kind):
+        damage, reason = UNSERVABLE[kind]
+        root = shutil.copytree(shard_root, str(tmp_path / "shards"))
+        with Frappe(ShardedStore(root)) as frappe:
+            want = frappe.query(self.QUERY).rows
+        shard = os.path.join(root, "shard-001")
+        damage(shard)
+        for open_root in (ShardedStore,
+                          lambda path: ShardRouter(path, 1)):
+            with pytest.raises(StoreFormatError) as caught:
+                open_root(root)
+            message = str(caught.value)
+            assert repr(shard) in message and reason in message
+            assert message.endswith("run `frappe compact`")
+        assert verify_shard_root(root).status == REPAIRABLE
+        compact_shard_root(root)
+        assert verify_shard_root(root).status == CLEAN
+        with Frappe(ShardedStore(root)) as frappe:
+            assert frappe.query(self.QUERY).rows == want

@@ -282,6 +282,33 @@ class TestServe:
         result = Result.from_dict(json.loads(line))
         assert result.columns == ["n"]
 
+    @pytest.mark.parametrize("serving", [
+        ["serve", "{store}", "--http", "0"],
+        ["serve", "{store}", "--http", "0", "--replicas", "1"],
+        ["serve", "--http", "0", "--shards", "{shards}"],
+        ["shard-split", "{store}", "--shards", "2", "--out", "{out}"],
+    ], ids=["in_process", "replicas", "shard_root", "shard_split"])
+    def test_unservable_store_refused_before_serving(
+            self, store, tmp_path, capsys, serving):
+        """Every serving tier over a layout-1 store (or shard) exits
+        1 with the compact message before binding a port — no
+        traceback, no worker respawn loop."""
+        from repro.graphdb.storage.faults import stamp_csr_layout
+        shards = tmp_path / "shards"
+        assert main(["shard-split", store, "--shards", "2",
+                     "--out", str(shards)]) == 0
+        aged = shutil.copytree(store, str(tmp_path / "aged"))
+        stamp_csr_layout(aged, 1)
+        stamp_csr_layout(str(shards / "shard-001"), 1)
+        capsys.readouterr()
+        argv = [part.format(store=aged, shards=shards,
+                            out=tmp_path / "out") for part in serving]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "csr layout 1, run `frappe compact`" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert "serving http" not in captured.err
+
     def test_serve_http_flag_boots_and_answers(self, store):
         # drive the HTTP deployment through the same backend wiring
         # the CLI flag uses (the blocking run() loop itself is
@@ -347,10 +374,10 @@ class TestCompact:
                      "MATCH (n:function) RETURN count(*)"]) == 0
 
     def test_layout_1_store_is_repairable_then_compacted(
-            self, store, tmp_path, capsys, caplog):
+            self, store, tmp_path, capsys):
         """A store compiled before the column layout: fsck exit 2, a
-        query still answers (from records, saying so once), compact
-        rewrites it."""
+        query is refused with the compact message (no traceback), and
+        after compact it answers as before."""
         from repro.graphdb.storage.faults import stamp_csr_layout
         store = shutil.copytree(store, str(tmp_path / "aged"))
         query = ["query", store, "MATCH (n:function) RETURN count(*)"]
@@ -360,14 +387,17 @@ class TestCompact:
         assert main(["fsck", store]) == 2
         printed = capsys.readouterr().out
         assert "repairable" in printed and "csr layout 1" in printed
-        with caplog.at_level("WARNING", logger="repro.storage"):
-            assert main(query) == 0
-        assert capsys.readouterr().out.splitlines()[:2] == answer
-        assert [record.getMessage().count("csr layout 1")
-                for record in caplog.records] == [1]
+        assert main(query) == 1
+        refused = capsys.readouterr()
+        assert refused.out == ""
+        assert "csr layout 1, run `frappe compact`" in refused.err
+        assert store in refused.err and "Traceback" not in refused.err
         assert main(["compact", store]) == 0
         capsys.readouterr()
         assert main(["fsck", store]) == 0
+        capsys.readouterr()
+        assert main(query) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == answer
 
     def test_layout_1_shard_root_is_repaired_per_shard(self, store,
                                                        tmp_path, capsys):
@@ -405,20 +435,3 @@ class TestFsckBreakdown:
         assert "records" in printed
         assert "csr.db" in printed and "dictionary.db" in printed
         assert "total" in printed
-
-
-class TestNoCsrFlag:
-    def test_query_answers_match_with_and_without_csr(self, store,
-                                                      capsys):
-        text = ("MATCH (a:function)-[:calls]->(b:function) "
-                "RETURN a.short_name, b.short_name "
-                "ORDER BY a.short_name, b.short_name")
-        import re
-
-        def normalize(text):
-            return re.sub(r"[0-9.]+ ms", "", text)
-
-        assert main(["query", store, text]) == 0
-        default = capsys.readouterr().out
-        assert main(["query", store, text, "--no-csr"]) == 0
-        assert normalize(capsys.readouterr().out) == normalize(default)
