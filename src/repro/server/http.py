@@ -5,8 +5,9 @@ front of a query backend:
 
 * ``POST /v1/query`` — JSON request body carrying the full
   :class:`~repro.cypher.QueryOptions` surface; the response streams
-  the result as chunked NDJSON (header frame, one frame per row,
-  summary frame).
+  the result as chunked NDJSON, one HTTP chunk per frame (header
+  frame, a rows frame per ``wire.ROWS_PER_FRAME`` rows, summary
+  frame).
 * ``GET /v1/health`` — liveness plus replica topology.
 * ``GET /v1/metrics`` — the shared
   :class:`~repro.obs.MetricsRegistry` as JSON (server counters, and
@@ -57,10 +58,6 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Header-section size limit handed to the stream reader.
 _READ_LIMIT = 1 << 16
-
-#: drain() the transport after this many streamed row frames, so a
-#: slow client applies backpressure instead of buffering the result.
-_DRAIN_EVERY = 256
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -315,12 +312,17 @@ class HttpServer:
             if not separator:
                 raise _BadRequest(400, "malformed header line")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            # bodies are read by Content-Length only; reading a chunked
+            # body that way would parse its chunks as the next request
+            raise _BadRequest(400, "Transfer-Encoding is not supported; "
+                              "send the body with a Content-Length")
         body = b""
         length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError as error:
-            raise _BadRequest(400, "bad Content-Length") from error
+        # 1*DIGIT only: int() would also take "-5", "+5" and "1_0"
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise _BadRequest(400, f"bad Content-Length {length_text!r}")
+        length = int(length_text)
         if length > self.max_body:
             # drain what the client is committed to sending (bounded)
             # before answering, so a well-behaved client blocked in
@@ -452,17 +454,17 @@ class HttpServer:
     async def _stream_ndjson(self, writer: asyncio.StreamWriter,
                              payload: bytes,
                              keep_alive: bool) -> None:
-        """Stream one NDJSON payload as chunked frames, row by row."""
+        """Stream one NDJSON payload, one HTTP chunk per frame.
+
+        Draining after every frame (at most ``ROWS_PER_FRAME`` rows)
+        lets a slow client apply backpressure.
+        """
         headers = (("Content-Type", "application/x-ndjson"),
                    ("Transfer-Encoding", "chunked"))
         writer.write(self._head(200, keep_alive, headers))
-        pending = 0
-        for line in payload.splitlines(keepends=True):
-            writer.write(b"%x\r\n" % len(line) + line + b"\r\n")
-            pending += 1
-            if pending >= _DRAIN_EVERY:
-                await writer.drain()
-                pending = 0
+        for frame in payload.splitlines(keepends=True):
+            writer.write(b"%x\r\n" % len(frame) + frame + b"\r\n")
+            await writer.drain()
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 

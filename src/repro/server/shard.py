@@ -392,16 +392,18 @@ class ShardRouter:
         if any(kind is None for kind in kinds):
             return RoutingDecision("gateway", every,
                                    "non-decomposable return item")
-        shards = list(every)
         labels = patterns[0].nodes[0].labels
-        if labels:
-            # manifest label statistics prune shards that cannot
-            # contribute a row; keep one shard so the empty aggregate
-            # row (count=0, min=null) still materializes
-            counts = self.store.shard_label_counts(labels[0])
-            shards = [index for index, count in enumerate(counts)
-                      if count] or [0]
-            self._pruned.inc(len(every) - len(shards))
+        if not labels:
+            # ghosts stay out of label indexes, not out of a shard's
+            # all-nodes scan: scattered, they would be counted twice
+            return RoutingDecision("gateway", every, "unlabelled scan")
+        # manifest label statistics prune shards that cannot
+        # contribute a row; keep one shard so the empty aggregate
+        # row (count=0, min=null) still materializes
+        counts = self.store.shard_label_counts(labels[0])
+        shards = [index for index, count in enumerate(counts)
+                  if count] or [0]
+        self._pruned.inc(len(every) - len(shards))
         return RoutingDecision("scatter", tuple(shards),
                                "decomposable aggregation",
                                merge=tuple(kinds))

@@ -57,6 +57,8 @@ QUERY_SHAPES = [
     "MATCH (n:function) RETURN count(*), min(n.size), max(n.size)",
     "MATCH (n:function) WHERE n.size > 1 RETURN count(n), "
     "sum(n.size)",
+    # unlabelled scans (gateway: a shard's all-nodes scan sees ghosts)
+    "MATCH (n) RETURN count(n)",
     # order-sensitive full scans (gateway over the composite view)
     "MATCH (n:function) RETURN n.short_name, n.size ORDER BY "
     "n.short_name, n.size, id(n)",
@@ -186,6 +188,13 @@ class TestRoutingTiers:
             "MATCH (n:function) RETURN count(n)")
         assert list(decision.shards) == \
             [index for index, count in enumerate(counts) if count]
+
+    def test_unlabelled_scan_goes_to_gateway(self, router, saved_store):
+        text = "MATCH (n) RETURN count(n)"
+        assert router.classify(text).tier == "gateway"
+        with Frappe.open(saved_store) as single:
+            assert wire.result_from_ndjson(router.execute(text)).rows \
+                == single.query(text).rows
 
     def test_expansion_goes_to_gateway(self, router):
         decision = router.classify(
