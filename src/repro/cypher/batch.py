@@ -5,13 +5,15 @@ binding per row through a stack of generators; every MATCH step copies
 the whole row dict per expansion, and every ``next()`` pays generator
 resumption. This module executes the same clause pipeline over
 :class:`RowBatch` morsels instead: slot-addressed columns over flat
-Python lists, with lightweight :class:`BatchRow` mapping views so the
-expression evaluator, the matcher's expansion kernels and the
-aggregation code run unchanged — the semantics (and the produced row
-*order*) are identical to row mode by construction, because the batch
-kernels reuse the matcher's own anchor/expand primitives and process
-states in the same lexicographic order the row executor's nested
-loops visit them.
+Python lists. MATCH writes its output a column at a time and
+aggregation groups on column-kernel outputs; where an expression or
+aggregate must read one row, a lightweight :class:`BatchRow` mapping
+view lets the evaluator and the matcher's expansion kernels run
+unchanged — the semantics (and the produced row *order*) are
+identical to row mode by construction, because the batch kernels
+reuse the matcher's own anchor/expand primitives and process states
+in the same lexicographic order the row executor's nested loops visit
+them.
 
 Batch kernels exist for the hot operators: START scans/seeks, single
 non-OPTIONAL MATCH patterns (including var-length expansion and the
@@ -35,15 +37,15 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping as MappingView
-from typing import Any, Collection, Iterable, Iterator, Mapping
+from typing import Any, Collection, Iterator, Mapping
 
 from repro.cypher import ast
 from repro.cypher import matcher as _matcher
 from repro.cypher.evaluator import (ExecutionContext, compile_expr,
                                     compile_props, literal_props)
-from repro.cypher.executor import (_aggregate, _as_count, _column_names,
-                                   _distinct, _order, _projection_operator,
-                                   _top_k)
+from repro.cypher.executor import (_as_count, _column_names, _distinct,
+                                   _eval_aggregate, _hashable, _order,
+                                   _projection_operator, _top_k)
 from repro.cypher.matcher import match_clause
 from repro.cypher.plan import ANCHOR_OPERATORS
 from repro.cypher.result import EdgeRef, NodeRef, QueryStats, Result
@@ -147,6 +149,21 @@ class _Builder:
         for column, value in zip(self.columns, values):
             column.append(value)
         self.count += 1
+
+    def extend(self, columns: list[list[Any]],
+               count: int) -> Iterator[RowBatch]:
+        """Append *count* rows given column-wise, yielding each batch
+        as it fills — the same morsel boundaries row-at-a-time
+        :meth:`append` would produce."""
+        start = 0
+        while start < count:
+            stop = min(count, start + self.capacity - self.count)
+            for column, values in zip(self.columns, columns):
+                column.extend(values[start:stop])
+            self.count += stop - start
+            start = stop
+            if self.full:
+                yield self.take()
 
     @property
     def full(self) -> bool:
@@ -279,12 +296,6 @@ def execute_batch(query: ast.Query, ctx: ExecutionContext,
     result.stats.elapsed_seconds = ctx.elapsed
     result.stats.rows_produced = len(result.rows)
     return result
-
-
-def _views(batches: Iterator[RowBatch]) -> Iterator[BatchRow]:
-    for batch in batches:
-        for index in range(batch.count):
-            yield BatchRow(batch, index)
 
 
 def _dict_rows(batches: Iterator[RowBatch],
@@ -446,9 +457,13 @@ class _MatchSetup:
     layout work per batch would swamp them)."""
 
     __slots__ = ("anchor", "steps", "estimates", "anchor_node",
-                 "anchor_op", "node_slots", "rel_slots", "out_slots",
-                 "path_slot", "new_node_out", "new_rel_out", "width",
-                 "input_width")
+                 "anchor_op", "anchor_proven", "node_slots", "rel_slots",
+                 "out_slots", "outputs")
+
+
+#: Where an output column of the MATCH kernel comes from (see
+#: :attr:`_MatchSetup.outputs`).
+_INPUT, _NODE, _REL, _PATH = "input", "node", "rel", "path"
 
 
 def _match_stage(clause: ast.Match, batches: Iterator[RowBatch],
@@ -484,17 +499,22 @@ def _match_setup(pattern: ast.Pattern, slots: Mapping[str, int],
         setup.anchor = _matcher._pick_anchor(pattern, slots)
         setup.steps = _matcher._build_steps(pattern, setup.anchor)
         setup.estimates = None
-    setup.anchor_node = pattern.nodes[setup.anchor]
+    anchor_node = setup.anchor_node = pattern.nodes[setup.anchor]
+    strategy, detail = _matcher.anchor_strategy(
+        anchor_node, set(slots),
+        tuple(getattr(ctx.view.indexes, "auto_index_keys", ())),
+        ctx.use_index_seek)
+    # a label scan of the node's only label, with no property map and
+    # the variable unbound, already proves everything _node_ok checks
+    setup.anchor_proven = (strategy == "label-scan"
+                           and len(anchor_node.labels) == 1
+                           and not anchor_node.properties)
     setup.anchor_op = None
     if profiler is not None:
         if pattern_plan is not None:
             strategy, detail = pattern_plan.strategy, pattern_plan.detail
             anchor_estimate = pattern_plan.anchor_estimate
         else:
-            strategy, detail = _matcher.anchor_strategy(
-                setup.anchor_node, set(slots),
-                tuple(getattr(ctx.view.indexes, "auto_index_keys", ())),
-                ctx.use_index_seek)
             anchor_estimate = None
         setup.anchor_op = profiler.operator(
             plan, ("anchor", 0), ANCHOR_OPERATORS[strategy],
@@ -520,19 +540,21 @@ def _match_setup(pattern: ast.Pattern, slots: Mapping[str, int],
         if name not in out_slots:
             out_slots[name] = len(out_slots)
     setup.out_slots = out_slots
-    setup.path_slot = out_slots[pattern.path_variable] \
-        if pattern.path_variable else None
-    setup.new_node_out = []
-    setup.new_rel_out = []
+    # each output slot's source, in slot order: after the last step
+    # every pattern node and relationship is bound, so a variable
+    # named twice reads its first position; the path overwrites an
+    # input binding of its name, as the row matcher's does
+    outputs: list[tuple[str, int]] = []
     for name, slot in out_slots.items():
-        if name in slots or name == pattern.path_variable:
-            continue
-        if name in node_slots:
-            setup.new_node_out.append((slot, node_slots[name]))
-        elif name in rel_slots:
-            setup.new_rel_out.append((slot, rel_slots[name]))
-    setup.width = len(out_slots)
-    setup.input_width = len(slots)
+        if name == pattern.path_variable:
+            outputs.append((_PATH, slot))
+        elif name in slots:
+            outputs.append((_INPUT, slot))
+        elif name in node_slots:
+            outputs.append((_NODE, node_slots[name][0]))
+        else:
+            outputs.append((_REL, rel_slots[name][0]))
+    setup.outputs = outputs
     return setup
 
 
@@ -543,11 +565,11 @@ def _match_batch(pattern: ast.Pattern, batch: RowBatch,
     """Expand one pattern over one input batch, morsel by morsel.
 
     Anchor states are drawn lazily and expanded through the step list
-    a chunk at a time; each chunk's surviving states append output
-    rows in the exact order the row matcher's depth-first nested loops
-    would yield them (states are processed in order and expansions
-    appended in adjacency order, so the flattened output is the same
-    lexicographic sequence).
+    a chunk at a time; each chunk's surviving states are written into
+    the output columns in the exact order the row matcher's
+    depth-first nested loops would yield them (states are processed in
+    order and expansions appended in adjacency order, so the flattened
+    output is the same lexicographic sequence).
     """
     if batch.count == 0:
         return
@@ -557,15 +579,18 @@ def _match_batch(pattern: ast.Pattern, batch: RowBatch,
     estimates = setup.estimates
     anchor_node = setup.anchor_node
     anchor_op = setup.anchor_op
+    anchor_proven = setup.anchor_proven
     node_slots = setup.node_slots
     rel_slots = setup.rel_slots
-
-    n_nodes = len(pattern.nodes)
-    n_rels = len(pattern.rels)
-    no_edges: frozenset[int] = frozenset()
+    outputs = setup.outputs
 
     def anchor_states() -> Iterator[tuple[int, list[int | None],
                                           frozenset[int], list[Any]]]:
+        no_edges: frozenset[int] = frozenset()
+        unbound = [None] * len(pattern.nodes)
+        # shared by every state: steps copy the list before binding
+        unset = [_UNSET] * len(pattern.rels)
+        db_hit = ctx.db_hit
         for index in range(batch.count):
             view = batch.row_view(index)
             candidates = _matcher._anchor_candidates(anchor_node, view,
@@ -574,18 +599,15 @@ def _match_batch(pattern: ast.Pattern, batch: RowBatch,
                 candidates = profiler.iterate(anchor_op, candidates,
                                               hits_per_row=1)
             for node_id in candidates:
-                if not _matcher._node_ok(anchor_node, node_id, view,
-                                         ctx):
+                if anchor_proven:
+                    db_hit()  # the label check's hit, as _node_ok charges
+                elif not _matcher._node_ok(anchor_node, node_id, view,
+                                           ctx):
                     continue
-                bound: list[int | None] = [None] * n_nodes
+                bound = unbound.copy()
                 bound[anchor] = node_id
-                yield index, bound, no_edges, [_UNSET] * n_rels
+                yield index, bound, no_edges, unset
 
-    path_slot = setup.path_slot
-    new_node_out = setup.new_node_out
-    new_rel_out = setup.new_rel_out
-    width = setup.width
-    input_width = setup.input_width
     builder = _Builder(setup.out_slots, morsel_size)
 
     def run_steps(chunk: list[Any], context: ExecutionContext,
@@ -625,37 +647,26 @@ def _match_batch(pattern: ast.Pattern, batch: RowBatch,
                                       rel_slots, context)
         return chunk
 
-    input_columns = batch.columns[:input_width]
-    padding = [None] * (width - input_width)
-
-    def assemble(chunk: list[Any], context: ExecutionContext,
-                 ) -> list[list[Any]]:
-        """Output rows (in state order) for one fully-expanded chunk."""
-        rows = []
-        for src, bound, _used, rels in chunk:
-            values = [column[src] for column in input_columns]
-            values += padding
-            for slot, node_indexes in new_node_out:
-                for node_index in node_indexes:
-                    node_id = bound[node_index]
-                    if node_id is not None:
-                        values[slot] = NodeRef(node_id)
-                        break
-            for slot, rel_indexes in new_rel_out:
-                for rel_index in rel_indexes:
-                    value = rels[rel_index]
-                    if value is not _UNSET:
-                        values[slot] = value
-                        break
-            if path_slot is not None:
-                bound_map = {node_index: node_id for node_index, node_id
-                             in enumerate(bound) if node_id is not None}
-                rel_map = {rel_index: value for rel_index, value
-                           in enumerate(rels) if value is not _UNSET}
-                values[path_slot] = _matcher._build_path(
-                    pattern, bound_map, rel_map, context)
-            rows.append(values)
-        return rows
+    def columns_of(chunk: list[Any], context: ExecutionContext,
+                   ) -> list[list[Any]]:
+        """Output columns (in state order) for one fully-expanded
+        chunk: one pass per output slot."""
+        columns: list[list[Any]] = []
+        for kind, index in outputs:
+            if kind == _INPUT:
+                column = batch.columns[index]
+                columns.append([column[state[0]] for state in chunk])
+            elif kind == _NODE:
+                columns.append([NodeRef(state[1][index])
+                                for state in chunk])
+            elif kind == _REL:
+                columns.append([state[3][index] for state in chunk])
+            else:
+                columns.append([
+                    _matcher._build_path(pattern, dict(enumerate(bound)),
+                                         dict(enumerate(rels)), context)
+                    for _src, bound, _used, rels in chunk])
+        return columns
 
     states = anchor_states()
     buffered: list[list[Any]] = []
@@ -671,7 +682,7 @@ def _match_batch(pattern: ast.Pattern, batch: RowBatch,
                 buffered.append(second)
                 yield from _parallel_chunks(
                     buffered, states, morsel_size, ctx, profiler, plan,
-                    run_steps, assemble, builder)
+                    run_steps, columns_of, builder)
                 if builder.count:
                     yield builder.take()
                 return
@@ -683,10 +694,7 @@ def _match_batch(pattern: ast.Pattern, batch: RowBatch,
         if not chunk:
             break
         chunk = run_steps(chunk, ctx, profiler, plan)
-        for values in assemble(chunk, ctx):
-            builder.append(values)
-            if builder.full:
-                yield builder.take()
+        yield from builder.extend(columns_of(chunk, ctx), len(chunk))
     if builder.count:
         yield builder.take()
 
@@ -717,7 +725,7 @@ class _InlineTask:
 def _parallel_chunks(buffered: list[list[Any]], states: Iterator[Any],
                      morsel_size: int, ctx: ExecutionContext,
                      profiler: Any, plan: Any, run_steps: Any,
-                     assemble: Any, builder: "_Builder",
+                     columns_of: Any, builder: "_Builder",
                      ) -> Iterator[RowBatch]:
     """The morsel-driven parallel pipeline driver.
 
@@ -741,7 +749,7 @@ def _parallel_chunks(buffered: list[list[Any]], states: Iterator[Any],
 
     def run_task(chunk: list[Any], fork: ExecutionContext) -> Any:
         out = run_steps(chunk, fork, fork.profiler, None)
-        return assemble(out, fork), fork
+        return columns_of(out, fork), len(out), fork
 
     pending: Any = deque()
     drained = False
@@ -761,14 +769,11 @@ def _parallel_chunks(buffered: list[list[Any]], states: Iterator[Any],
                            else _InlineTask(fn))
         if not pending:
             return
-        rows, fork = pending.popleft().result()
+        columns, count, fork = pending.popleft().result()
         ctx.absorb(fork)
         if profiler is not None:
             merge_operator_stats(plan, fork.profiler.root)
-        for values in rows:
-            builder.append(values)
-            if builder.full:
-                yield builder.take()
+        yield from builder.extend(columns, count)
 
 
 def _edge_filter(rel: ast.RelPattern, ctx: ExecutionContext):
@@ -892,14 +897,25 @@ def _expand_chunk(step: Any,
             view = _MatchRow(batch.row_view(src), node_slots,
                              rel_slots, bound, rels)
             source = bound[source_index]
-            if _matcher._use_reachability(step, used, ctx):
-                expansions = _expand_reachability_vec(step, source,
-                                                      view, ctx)
-            else:
-                expansions = _expand_var_length_vec(step, source, view,
-                                                    used, ctx)
             check_target = not plain_target or (
                 target_variable is not None and target_variable in view)
+            if _matcher._use_reachability(step, used, ctx):
+                # endpoints only: the planner proved there is no rel
+                # variable to bind, and no edge is consumed
+                reached = _expand_reachability_vec(step, source, view,
+                                                   ctx)
+                if check_target:
+                    reached = [node for node in reached
+                               if target_check(node, view, ctx)]
+                new_rels = list(rels)
+                new_rels[rel_index] = ()
+                for node in reached:
+                    new_bound = bound.copy()
+                    new_bound[target_index] = node
+                    out.append((src, new_bound, used, new_rels))
+                continue
+            expansions = _expand_var_length_vec(step, source, view,
+                                                used, ctx)
             prior = view[rel_variable] if rel_variable \
                 and rel_variable in view else _UNSET
             for target_node, rel_value, edges in expansions:
@@ -1035,65 +1051,74 @@ def _expand_var_length_vec(step: Any, source: int,
 
 def _expand_reachability_vec(step: Any, source: int,
                              view: Mapping[str, Any],
-                             ctx: ExecutionContext,
-                             ) -> list[tuple[int, Any, frozenset[int]]]:
+                             ctx: ExecutionContext) -> list[int]:
     """Vectorized :func:`repro.cypher.matcher._expand_reachability`:
-    the same visited-set BFS (endpoints yielded once, in first-reach
-    order), over bulk-resolved adjacency."""
+    the same visited-set BFS, returning the endpoints (each once, in
+    first-reach order) over bulk-resolved adjacency.
+
+    One ``visited`` test per neighbour decides both questions the row
+    kernel asks apart — yield it? expand it? — because every node but
+    the source is yielded exactly when it is first visited. The source
+    joins ``visited`` only once yielded (at once for ``min_hops`` 0,
+    else when a cycle reaches it again), and is never expanded twice.
+    """
     rel = step.rel
     direction = step.direction
     types = rel.types or None
     max_hops = rel.max_hops
     edge_ok = _edge_filter(rel, ctx)
-    no_edges: frozenset[int] = frozenset()
-    results: list[tuple[int, Any, frozenset[int]]] = []
-    visited = {source}
-    yielded = set()
+    reached: list[int] = []
+    visited: set[int] = set()
     if rel.min_hops == 0:
-        yielded.add(source)
-        results.append((source, (), no_edges))
+        visited.add(source)
+        reached.append(source)
+    source_open = source not in visited
+    add = visited.add
     frontier = [source]
     depth = 0
     while frontier and (max_hops is None or depth < max_hops):
         depth += 1
-        next_frontier: list[int] = []
         if ctx.parallelism > 1 and len(frontier) > 1:
-            # frontier-parallel level: neighbor lists come back in
-            # frontier order, and the yielded/visited updates below
-            # run serially in that order, so first-reach order — and
-            # therefore the result rows — match the serial BFS exactly
-            level: Iterable[Collection[int]] = _frontier_parallel(
-                frontier, direction, types, edge_ok, view, ctx)
+            # frontier-parallel level: neighbour lists come back in
+            # frontier order and are merged below in that order, so
+            # first-reach order — hence the result rows — match the
+            # serial BFS exactly
+            level = _frontier_parallel(frontier, direction, types,
+                                       edge_ok, view, ctx)
         else:
-            level = (_reached(node_id, direction, types, edge_ok, view,
-                              ctx) for node_id in frontier)
+            level = _reach_level(frontier, direction, types, edge_ok,
+                                 view, ctx)
+        start = len(reached)
         for neighbors in level:
-            for neighbor in neighbors:
-                if neighbor not in yielded:
-                    yielded.add(neighbor)
-                    results.append((neighbor, (), no_edges))
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    return results
+            # add() returns None: keeps, and marks, each first visit
+            reached += [neighbor for neighbor in neighbors
+                        if not (neighbor in visited or add(neighbor))]
+        frontier = reached[start:]
+        if source_open and source in visited:
+            source_open = False
+            frontier.remove(source)
+    return reached
 
 
-def _reached(node_id: int, direction: Any,
-             types: tuple[str, ...] | None, edge_ok: Any,
-             view: Mapping[str, Any],
-             ctx: ExecutionContext) -> Collection[int]:
-    """One closure expansion: the neighbours of *node_id* over edges
-    that pass *edge_ok*, ticked per edge looked at.  Without a filter
-    the edge ids are never read."""
-    if edge_ok is None:
-        reached = ctx.neighbor_ids(node_id, direction, types)
-        ctx.tick(len(reached))
-        return reached
-    pairs = ctx.neighbors(node_id, direction, types)
-    ctx.tick(len(pairs))
-    return [neighbor for edge_id, neighbor in pairs
-            if edge_ok(edge_id, view, ctx)]
+def _reach_level(frontier: list[int], direction: Any,
+                 types: tuple[str, ...] | None, edge_ok: Any,
+                 view: Mapping[str, Any],
+                 ctx: ExecutionContext) -> list[Collection[int]]:
+    """One BFS level: each frontier node's neighbours over edges that
+    pass *edge_ok*, in frontier order, each node ticked per edge looked
+    at. Without a filter the edge ids are never read."""
+    level = []
+    for node_id in frontier:
+        if edge_ok is None:
+            reached = ctx.neighbor_ids(node_id, direction, types)
+            ctx.tick(len(reached))
+        else:
+            pairs = ctx.neighbors(node_id, direction, types)
+            ctx.tick(len(pairs))
+            reached = [neighbor for edge_id, neighbor in pairs
+                       if edge_ok(edge_id, view, ctx)]
+        level.append(reached)
+    return level
 
 
 def _frontier_parallel(frontier: list[int], direction: Any,
@@ -1101,9 +1126,9 @@ def _frontier_parallel(frontier: list[int], direction: Any,
                        view: Mapping[str, Any], ctx: ExecutionContext,
                        ) -> list[Collection[int]]:
     """Expand one BFS level on the pool: the frontier splits into
-    ``ctx.parallelism`` contiguous slices, each slice's nodes resolve
-    (and edge-filter) their adjacency on a forked context, and the
-    per-node neighbor lists come back concatenated in frontier order.
+    ``ctx.parallelism`` contiguous slices, each slice is read by
+    :func:`_reach_level` on a forked context, and the per-node
+    neighbour lists come back concatenated in frontier order.
 
     Accounting merges in slice order: expansion ticks via
     :meth:`ExecutionContext.absorb` and db-hits onto whichever
@@ -1117,27 +1142,20 @@ def _frontier_parallel(frontier: list[int], direction: Any,
     spawn = ctx.task_spawner
     profiled = ctx.profiler is not None
     size = -(-len(frontier) // ctx.parallelism)
-    slices = [frontier[start:start + size]
-              for start in range(0, len(frontier), size)]
-
-    def expand(nodes: list[int],
-               fork: ExecutionContext) -> list[Collection[int]]:
-        return [_reached(node_id, direction, types, edge_ok, view, fork)
-                for node_id in nodes]
-
     tasks = []
-    for nodes in slices:
+    for start in range(0, len(frontier), size):
         fork = ctx.fork(QueryProfiler() if profiled else None)
-        fn = (lambda n=nodes, f=fork: (expand(n, f), f))
+        fn = (lambda nodes=frontier[start:start + size], f=fork:
+              (_reach_level(nodes, direction, types, edge_ok, view, f), f))
         tasks.append(spawn(fn) if spawn is not None else _InlineTask(fn))
-    results: list[Collection[int]] = []
+    level: list[Collection[int]] = []
     for task in tasks:
         out, fork = task.result()
         ctx.absorb(fork)
         if profiled:
             ctx.db_hit(fork.profiler.root.db_hits)
-        results.extend(out)
-    return results
+        level.extend(out)
+    return level
 
 
 # --------------------------------------------------------------------------
@@ -1292,6 +1310,66 @@ def _compiled_column_kernel(expr: ast.Expr):
     return column
 
 
+def _aggregate_batch(items: tuple[ast.ReturnItem, ...],
+                     batches: Iterator[RowBatch], ctx: ExecutionContext,
+                     ) -> list[tuple[tuple[Any, ...], Mapping[str, Any]]]:
+    """Implicit-grouping aggregation over morsels, with row-mode
+    :func:`~repro.cypher.executor._aggregate` semantics: groups in
+    first-seen order, each scoped by its first row, keyed on the zipped
+    outputs of the grouping items' column kernels (``_hashable`` only
+    for a key holding a list or map). ``count(*)`` is the group size;
+    row views are kept only when another aggregate reads the rows."""
+    keyed = {index for index, item in enumerate(items)
+             if not ast.contains_aggregate(item.expression)}
+    kernels = [_column_kernel(item.expression)
+               or _compiled_column_kernel(item.expression)
+               for index, item in enumerate(items) if index in keyed]
+    reads_rows = any(not isinstance(item.expression, ast.CountStar)
+                     for index, item in enumerate(items)
+                     if index not in keyed)
+    # hashable key -> [key values, size, first row, rows if read]
+    groups: dict[Any, list[Any]] = {}
+    for batch in batches:
+        count = batch.count
+        if not count:
+            continue
+        ctx.tick(count)
+        if not kernels:
+            group = groups.get(())
+            if group is None:
+                group = groups[()] = [(), 0, BatchRow(batch, 0), []]
+            group[1] += count
+            if reads_rows:
+                group[3].extend(batch.views())
+            continue
+        keys = zip(*[kernel(batch, ctx) for kernel in kernels])
+        for index, values in enumerate(keys):
+            key = values
+            try:
+                group = groups.get(key)
+            except TypeError:
+                key = _hashable(values)
+                group = groups.get(key)
+            if group is None:
+                group = groups[key] = [values, 0, BatchRow(batch, index),
+                                       []]
+            group[1] += 1
+            if reads_rows:
+                group[3].append(BatchRow(batch, index))
+    if not groups and not keyed:
+        # aggregates over an empty input still produce one row
+        groups[()] = [(), 0, {}, []]
+    scoped = []
+    for key_values, size, first, rows in groups.values():
+        key_iter = iter(key_values)
+        scoped.append((tuple(
+            next(key_iter) if index in keyed
+            else size if isinstance(item.expression, ast.CountStar)
+            else _eval_aggregate(item.expression, rows, ctx)
+            for index, item in enumerate(items)), first))
+    return scoped
+
+
 def _project_batch(items: tuple[ast.ReturnItem, ...], distinct: bool,
                    order_by: tuple[ast.SortItem, ...],
                    skip: ast.Expr | None, limit: ast.Expr | None,
@@ -1310,7 +1388,7 @@ def _project_batch(items: tuple[ast.ReturnItem, ...], distinct: bool,
         columns = _column_names(items)
         if any(ast.contains_aggregate(item.expression)
                for item in items):
-            scoped = _aggregate(items, _views(batches), ctx)
+            scoped = _aggregate_batch(items, batches, ctx)
         else:
             kernels = [_column_kernel(item.expression)
                        or _compiled_column_kernel(item.expression)

@@ -258,14 +258,22 @@ def _as_count(expr: ast.Expr, ctx: ExecutionContext, what: str) -> int:
 
 def _distinct(scoped: list[tuple[tuple[Any, ...], Mapping[str, Any]]],
               ) -> list[tuple[tuple[Any, ...], Mapping[str, Any]]]:
-    seen: set[Any] = set()
-    unique = []
-    for values, scope in scoped:
-        key = _hashable(values)
-        if key not in seen:
-            seen.add(key)
-            unique.append((values, scope))
-    return unique
+    """The first row of each distinct value tuple, in input order.
+
+    A tuple holding no list or map is its own ``_hashable`` key, so
+    each row is hashed once as it stands; only an input where some
+    row is unhashable starts over keyed on ``_hashable`` throughout.
+    """
+    first: dict[Any, tuple[tuple[Any, ...], Mapping[str, Any]]] = {}
+    keep = first.setdefault
+    try:
+        for entry in scoped:
+            keep(entry[0], entry)
+    except TypeError:
+        first.clear()
+        for entry in scoped:
+            keep(_hashable(entry[0]), entry)
+    return list(first.values())
 
 
 def _hashable(value: Any) -> Any:

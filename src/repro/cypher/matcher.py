@@ -12,7 +12,7 @@ Semantics follow Cypher:
   the reproduction keeps that behaviour honest. The one exception is
   planner-proven safe: a var-length relationship whose paths are
   observably *endpoint-distinct* (no rel/path variable, consumed by a
-  DISTINCT projection — see
+  DISTINCT or ``count(DISTINCT …)`` projection — see
   :func:`repro.cypher.planner.reachability_eligible`) runs as a
   visited-set BFS when the engine's ``use_reachability_rewrite`` gate
   is on, returning the identical row set in linear time.

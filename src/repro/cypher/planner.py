@@ -375,26 +375,49 @@ def _push_conjuncts(clause: ast.Match,
 def _consumer_is_distinct(following: list[ast.Clause]) -> bool:
     """True when every row this MATCH emits is consumed set-wise.
 
-    The first projection clause downstream must be DISTINCT and
-    aggregate-free: duplicates collapse there, and every later stage
-    sees identical inputs either way. Intervening MATCH/WHERE clauses
-    are per-row (duplicated inputs produce duplicated outputs with the
-    same row *set*), so they are transparent to this analysis.
+    The first projection clause downstream must either be DISTINCT and
+    aggregate-free, or aggregate only through ``count(DISTINCT …)``
+    (see :func:`_counts_distinct`): duplicates collapse there, and
+    every later stage sees identical inputs either way. Intervening
+    MATCH/WHERE clauses are per-row (duplicated inputs produce
+    duplicated outputs with the same row *set*), so they are
+    transparent to this analysis.
     """
     for clause in following:
         if isinstance(clause, (ast.With, ast.Return)):
-            if not clause.distinct:
-                return False
-            if any(ast.contains_aggregate(item.expression)
-                   for item in clause.items):
-                return False
-            if any(ast.contains_aggregate(sort.expression)
-                   for sort in clause.order_by):
-                return False
-            return True
+            aggregated = [expr for expr in
+                          [item.expression for item in clause.items] +
+                          [sort.expression for sort in clause.order_by]
+                          if ast.contains_aggregate(expr)]
+            if aggregated:
+                return all(_counts_distinct(expr) for expr in aggregated)
+            return clause.distinct
         if not isinstance(clause, (ast.Match, ast.Where)):
             return False
     return False
+
+
+def _counts_distinct(expr: ast.Expr) -> bool:
+    """True when *expr*'s value per group depends on the group's row
+    set alone: every aggregate call in it is ``count(DISTINCT …)``,
+    and it reads no variable outside those calls (a group-constant
+    read takes the group's first row, whose identity depends on row
+    order)."""
+    if isinstance(expr, ast.FunctionCall) and expr.is_aggregate:
+        return expr.name == "count" and expr.distinct
+    if isinstance(expr, (ast.CountStar, ast.Variable,
+                         ast.PatternPredicate)):
+        return False
+    if isinstance(expr, ast.FunctionCall):
+        return all(_counts_distinct(arg) for arg in expr.args)
+    if isinstance(expr, ast.Unary):
+        return _counts_distinct(expr.operand)
+    if isinstance(expr, ast.Binary):
+        return _counts_distinct(expr.left) and \
+            _counts_distinct(expr.right)
+    if isinstance(expr, ast.PropertyAccess):
+        return _counts_distinct(expr.subject)
+    return True
 
 
 def reachability_eligible(clause: ast.Match) -> list[ast.RelPattern]:

@@ -13,6 +13,7 @@ import pytest
 from repro.cypher import (CypherEngine, DEFAULT_MORSEL_SIZE, QueryOptions,
                           RowBatch, batch_supported, parse)
 from repro.cypher.batch import BatchRow
+from repro.cypher.result import EdgeRef, NodeRef, PathValue
 from repro.graphdb import PropertyGraph
 
 
@@ -307,3 +308,77 @@ class TestBatchProfile:
         assert [(op.name, op.rows)
                 for op in batch.profile.operators()] == \
             [(op.name, op.rows) for op in rows.profile.operators()]
+
+
+# --------------------------------------------------------------------------
+# DISTINCT and grouping over awkward cells
+# --------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def cells():
+    """Items whose ``v`` mixes equal-but-unlike scalars, nulls (absent
+    keys) and lists, an item whose ``ref`` holds another node's id,
+    and two nodes joined by parallel and reverse ``link`` edges."""
+    g = PropertyGraph()
+    values = [1, 1.0, True, None, None, [1, 2], [1, 2], [True], [1],
+              "1", 2]
+    items = [g.add_node("item", **({} if value is None else {"v": value}))
+             for value in values]
+    items.append(g.add_node("item", ref=items[0]))
+    a, b = g.add_node("end"), g.add_node("end")
+    edges = [g.add_edge(a, b, "link"), g.add_edge(a, b, "link"),
+             g.add_edge(b, a, "link")]
+    return g, items, (a, b), edges
+
+
+def _hop(start, end, edge):
+    return PathValue((NodeRef(start), NodeRef(end)), (EdgeRef(edge),))
+
+
+#: (query, parameters, expected rows given the ``cells`` fixture); the
+#: expectations are the row engine's answers — first-seen order, 1 =
+#: 1.0 = true, lists compared element-wise, a node apart from its id
+DISTINCT_CASES = [
+    # the first list arrives after hashable rows, so hashing starts over
+    ("MATCH (n:item) RETURN DISTINCT n.v", {},
+     lambda items, ends, edges: [(1,), (None,), ([1, 2],), ([True],),
+                                 ("1",), (2,)]),
+    ("MATCH (n:item) RETURN DISTINCT coalesce(n.v, $m)",
+     {"m": {"b": [1, 2], "a": 1}},
+     lambda items, ends, edges: [(1,), ({"b": [1, 2], "a": 1},),
+                                 ([1, 2],), ([True],), ("1",), (2,)]),
+    ("MATCH (n:item) RETURN DISTINCT n.v, n.v", {},
+     lambda items, ends, edges: [(1, 1), (None, None), ([1, 2], [1, 2]),
+                                 ([True], [True]), ("1", "1"), (2, 2)]),
+    ("MATCH (n:item) RETURN DISTINCT coalesce(n.ref, n)", {},
+     lambda items, ends, edges: [(NodeRef(node),) for node in items[:-1]]
+     + [(items[0],)]),
+    ("MATCH p = (a:end)-[:link]->(b) RETURN DISTINCT p", {},
+     lambda items, ends, edges: [(_hop(ends[0], ends[1], edges[0]),),
+                                 (_hop(ends[0], ends[1], edges[1]),),
+                                 (_hop(ends[1], ends[0], edges[2]),)]),
+    ("MATCH p = (a:end)-[:link]->(b) RETURN DISTINCT nodes(p)", {},
+     lambda items, ends, edges: [([NodeRef(ends[0]), NodeRef(ends[1])],),
+                                 ([NodeRef(ends[1]), NodeRef(ends[0])],)]),
+    ("MATCH (n:item) RETURN n.v, count(*)", {},
+     lambda items, ends, edges: [(1, 3), (None, 3), ([1, 2], 2),
+                                 ([True], 2), ("1", 1), (2, 1)]),
+    ("MATCH (n:item) RETURN coalesce(n.v, $m), count(*), "
+     "collect(id(n))", {"m": {"a": 1}},
+     lambda items, ends, edges: [
+         (1, 3, items[0:3]), ({"a": 1}, 3, [items[3], items[4], items[11]]),
+         ([1, 2], 2, items[5:7]), ([True], 2, items[7:9]),
+         ("1", 1, [items[9]]), (2, 1, [items[10]])]),
+]
+
+
+class TestDistinctCells:
+    @pytest.mark.parametrize("mode", ["rows", "batch"])
+    @pytest.mark.parametrize("text,parameters,expected", DISTINCT_CASES)
+    def test_rows_and_order(self, cells, mode, text, parameters,
+                            expected):
+        graph, items, ends, edges = cells
+        result = CypherEngine(graph).run(
+            text, parameters=parameters,
+            options=QueryOptions(execution_mode=mode))
+        assert result.rows == expected(items, ends, edges)

@@ -108,9 +108,10 @@ def assert_modes_agree(graph, text, morsel_size):
 
 
 def assert_three_way(engine, text, morsel_size, parallelism):
-    """rows == serial batch == parallel batch: columns, rows, order
-    AND profiled db-hit totals (the morsel driver's ordered merge must
-    leave no observable trace of the task decomposition)."""
+    """rows == serial batch == parallel batch: columns, rows, order,
+    expansion counts AND profiled db-hit totals (the morsel driver's
+    ordered merge must leave no observable trace of the task
+    decomposition)."""
     rows = engine.run(
         text, options=QueryOptions(execution_mode="rows",
                                    profile=True))
@@ -128,6 +129,9 @@ def assert_three_way(engine, text, morsel_size, parallelism):
     assert parallel.rows == serial.rows, \
         f"{text} (morsel={morsel_size}, parallelism={parallelism})"
     assert parallel.stats.rows_produced == serial.stats.rows_produced
+    assert parallel.stats.expansions == serial.stats.expansions == \
+        rows.stats.expansions, \
+        f"{text} (morsel={morsel_size}, parallelism={parallelism})"
     assert parallel.stats.db_hits == serial.stats.db_hits, \
         f"{text} (morsel={morsel_size}, parallelism={parallelism})"
 

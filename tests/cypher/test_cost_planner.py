@@ -195,6 +195,28 @@ class TestReachabilityMarking:
             "MATCH (n) -[:calls*]-> (m) RETURN distinct m, count(m)"))
         assert report.reachability_rewrites == 0
 
+    def test_count_distinct_consumer_marks_rel(self):
+        # count(DISTINCT m) depends on the set of m alone, so the
+        # closure need not enumerate paths to answer it
+        query, report = plan_query(parse(
+            "START n=node:node_auto_index('short_name: pci_read_bases') "
+            "MATCH n -[:calls*]-> m RETURN count(DISTINCT m)"))
+        assert report.reachability_rewrites == 1
+        assert only_rel(query).reachability
+
+    @pytest.mark.parametrize("returns", [
+        "RETURN count(m)",
+        "RETURN count(DISTINCT m), count(*)",
+        "RETURN count(DISTINCT m), collect(DISTINCT m)",
+        # reads m from the group's first row, which depends on order
+        "RETURN count(DISTINCT m) + m.size",
+    ])
+    def test_other_aggregates_block_marking(self, returns):
+        query, report = plan_query(parse(
+            "MATCH (n) -[:calls*]-> (m) " + returns))
+        assert report.reachability_rewrites == 0
+        assert not only_rel(query).reachability
+
     def test_bound_rel_variable_is_not_marked(self):
         query, report = plan_query(parse(
             "MATCH (n) -[r:calls*]-> (m) RETURN distinct m"))

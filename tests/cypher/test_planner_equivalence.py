@@ -32,6 +32,8 @@ REWRITE_QUERIES = (
     "MATCH (n), (m) WHERE n -[:calls*1..2]-> m "
     "RETURN id(n), id(m)",
     "MATCH (n) -[:calls*1..2]-> (m) RETURN id(n), id(m)",
+    "MATCH (n) -[:calls*0..2]-> (m) "
+    "RETURN id(n), count(DISTINCT m), count(DISTINCT m.short_name)",
 )
 
 

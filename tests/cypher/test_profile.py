@@ -214,6 +214,20 @@ class TestE8Attribution:
         # 21 reachable nodes (source + 20), <= 5 out-edges each
         assert expand.db_hits <= 21 * 5
 
+    @pytest.mark.parametrize("rewrite", [True, False])
+    def test_count_distinct_closure(self, layered, rewrite):
+        # count(DISTINCT m) takes the rewrite too; switching it off
+        # (--no-rewrite) brings back path enumeration, same count
+        result = CypherEngine(
+            layered, use_reachability_rewrite=rewrite).profile(
+                "START n=node:node_auto_index('short_name: l0_0') "
+                "MATCH n -[:calls*]-> m RETURN count(DISTINCT m)")
+        assert result.value() == 20
+        expand = result.profile.find_one("VarLengthExpand")
+        assert (expand.args.get("mode") == "reachability") == rewrite
+        # 5 + 25 + 125 + 625 paths enumerated without it
+        assert expand.rows == (20 if rewrite else 780)
+
     def test_rewrite_on_off_same_rows(self, layered):
         on = CypherEngine(layered).run(self.CLOSURE)
         off = CypherEngine(layered, use_reachability_rewrite=False) \

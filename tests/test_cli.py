@@ -115,6 +115,17 @@ class TestProfile:
         assert "cache hit ratio" in out
         assert "hottest operator:" in out
 
+    @pytest.mark.parametrize("flags,rewritten", [([], True),
+                                                 (["--no-rewrite"], False)])
+    def test_no_rewrite_turns_off_count_distinct_closure(
+            self, store, capsys, flags, rewritten):
+        assert main(["profile", store,
+                     "MATCH (n:function{short_name: 'start_kernel'}) "
+                     "-[:calls*]-> m RETURN count(DISTINCT m)",
+                     *flags]) == 0
+        assert ("mode=reachability" in capsys.readouterr().out) == \
+            rewritten
+
 
 class TestRefs:
     def test_find_references(self, store, capsys):
