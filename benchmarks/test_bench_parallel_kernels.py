@@ -1,31 +1,22 @@
-"""Experiment E15 — morsel parallelism and compiled kernels (PR 8).
+"""Experiment E15 — compiled kernels.
 
-The PR-8 tentpole claims: (a) compiled columnar kernels close the
-PR-5 speedup holes — cross-reference, stuck near 1x batch-over-rows,
-must now clear 1.2x warm, and debugging must never be slower; (b) the morsel-driven
-parallel pipeline scales the heavy comprehension-rewrite query with
-workers on multi-core boxes while returning byte-identical rows.
-This suite measures both claims with the Table 5 cold/warm protocol
-and gates on them:
+Compiled columnar kernels close the PR-5 speedup holes:
+cross-reference, stuck near 1x batch-over-rows, must clear 1.2x warm,
+and debugging must never be slower. This suite measures that with the
+Table 5 cold/warm protocol and gates on per-query rows-vs-batch warm
+timings (BENCH_PR8.json): batch never slower on the full mix and on
+debugging, and >= 1.2x warm on xref.
 
-* per-query rows-vs-batch warm timings with kernels on
-  (BENCH_PR8.json), gating batch never slower on the full mix and on
-  debugging, and >= 1.2x warm on xref;
-* a 1/2/4/8-worker scaling sweep over the mix on a real
-  :class:`~repro.server.executor.Executor` pool, gating
-  comprehension-rewrite >= 1.5x over serial batch on 4+-core boxes
-  (single-core boxes only gate against pathological slowdowns — the
-  GIL serializes compute, so threads cannot win there).
+Result counts are cross-checked between the two modes — a perf gate
+is meaningless if the fast path returns different rows.
 
-Result counts are cross-checked between every configuration — a perf
-gate is meaningless if the fast path returns different rows.
+The committed BENCH_PR8.json also holds the ``parallel/*`` records of
+E15's retired worker sweep (EXPERIMENTS.md); a re-run of this suite
+rewrites the file with the kernel records alone.
 """
-
-import os
 
 from repro.bench.harness import bench_record, run_cold_warm
 from repro.cypher import QueryOptions
-from repro.server.executor import Executor
 
 from test_bench_execution_modes import MIX_TOLERANCE, _mix, _warm_total
 from test_bench_table5_queries import ABORT_AFTER_SECONDS
@@ -39,32 +30,9 @@ EXPECT_1_2X = ("xref",)
 #: commit, 1.15-1.20x after, so its gate is never-slower
 SAMPLED_30X = ("xref", "debugging")
 
-#: worker counts for the intra-query parallelism sweep
-WORKER_SWEEP = (1, 2, 4, 8)
-
-CORES = os.cpu_count() or 1
-
-
-def _kernel_mix(frappe, label: str, **option_kwargs):
-    """Cold/warm rows for the mix under explicit batch options."""
-    rows = {}
-    for name, text in _mix(frappe):
-        options = QueryOptions(timeout=ABORT_AFTER_SECONDS,
-                               execution_mode="batch",
-                               **option_kwargs)
-        rows[name] = run_cold_warm(
-            f"{name} [{label}]",
-            lambda text=text, options=options: frappe.query(
-                text, options=options),
-            frappe.evict_caches,
-            abort_after=ABORT_AFTER_SECONDS,
-            hit_ratio=frappe.cache_hit_ratio,
-            reset_counters=frappe.reset_counters)
-    return rows
-
 
 class TestCompiledKernels:
-    """Tentpole (b): compiled kernels versus the row engine."""
+    """Compiled kernels versus the row engine."""
 
     def test_kernels_close_the_table5_holes(self, frappe_store, report,
                                             scale, benchmark,
@@ -123,57 +91,3 @@ class TestCompiledKernels:
                 timeout=ABORT_AFTER_SECONDS, execution_mode="batch")},
             rounds=1, iterations=1)
 
-
-class TestWorkerScaling:
-    """Tentpole (a): morsel-driven parallelism on a real pool."""
-
-    def test_worker_sweep(self, frappe_store, report, scale, benchmark,
-                          bench_records_pr8):
-        engine = frappe_store.engine
-        sweeps = {}
-        for workers in WORKER_SWEEP:
-            if workers == 1:
-                sweeps[workers] = _kernel_mix(frappe_store, "serial",
-                                              parallelism=1)
-                continue
-            executor = Executor(lambda *a, **k: None, workers=workers)
-            engine.task_spawner = executor.spawn_task
-            engine.pool_workers = executor.workers
-            try:
-                sweeps[workers] = _kernel_mix(
-                    frappe_store, f"{workers}w", parallelism=workers)
-            finally:
-                engine.task_spawner = None
-                engine.pool_workers = 0
-                executor.close(wait=True)
-        lines = []
-        for name, _text in _mix(frappe_store):
-            counts = {sweep[name].result_count
-                      for sweep in sweeps.values()}
-            assert len(counts) == 1  # workers never change the rows
-            lines.append(f"{name:<24} " + "  ".join(
-                f"{workers}w: {sweep[name].warm.min:7.2f}ms"
-                for workers, sweep in sweeps.items()))
-            for workers, sweep in sweeps.items():
-                bench_records_pr8.append(bench_record(
-                    sweep[name],
-                    query_id=f"parallel/{name}/{workers}w"))
-        report(f"== Morsel parallelism worker sweep (batch mode, warm "
-               f"min ms, scale {scale:g}, {CORES} cores) ==\n"
-               + "\n".join(lines))
-        serial = sweeps[1]["comprehension_rewrite"].warm.min
-        quad = sweeps[4]["comprehension_rewrite"].warm.min
-        if CORES >= 4:
-            # the heavy traversal must actually scale with workers
-            assert serial / quad >= 1.5, (serial, quad)
-        else:
-            # GIL-bound boxes cannot speed up, but the ordered-merge
-            # driver must not collapse either (cf. the replica-sweep
-            # gate's degraded-box floor)
-            assert serial / quad >= 0.4, (serial, quad)
-        benchmark.pedantic(
-            frappe_store.query, args=(_mix(frappe_store)[3][1],),
-            kwargs={"options": QueryOptions(
-                timeout=ABORT_AFTER_SECONDS, execution_mode="batch",
-                parallelism=2)},
-            rounds=1, iterations=1)

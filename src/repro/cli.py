@@ -225,11 +225,6 @@ def _add_read_path_flags(subparser: argparse.ArgumentParser) -> None:
         "--morsel-size", type=int, default=None,
         help="rows per batch under batch execution (default 1024)")
     subparser.add_argument(
-        "--parallelism", type=int, default=0,
-        help="morsel tasks per batch query: 0 (default) sizes to the "
-        "serving pool when one is running (serial otherwise), 1 forces "
-        "serial, N caps the fan-out at N tasks")
-    subparser.add_argument(
         "--mmap", action="store_true",
         help="memory-map the store files (zero-copy reads) instead "
         "of the buffered LRU page cache")
@@ -290,8 +285,7 @@ def _store_config(args: argparse.Namespace) -> StoreConfig:
     return StoreConfig(
         mmap=getattr(args, "mmap", False),
         execution_mode=getattr(args, "execution_mode", "auto"),
-        morsel_size=getattr(args, "morsel_size", None),
-        parallelism=getattr(args, "parallelism", 0))
+        morsel_size=getattr(args, "morsel_size", None))
 
 
 def _cmd_index(args: argparse.Namespace) -> int:

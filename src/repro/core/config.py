@@ -42,11 +42,6 @@ class StoreConfig:
         one engine. Per-query override via ``QueryOptions``.
     morsel_size
         Rows per batch under batch execution (None = engine default).
-    parallelism
-        Engine-wide default for intra-query parallelism under batch
-        execution: 0 = auto (the serving pool's worker count when one
-        is running, serial otherwise), 1 = serial, N = up to N morsel
-        tasks per query. Per-query override via ``QueryOptions``.
     use_reachability_rewrite
         Run endpoint-distinct var-length patterns as visited-set BFS
         (the Section 6.1 ablation gate).
@@ -60,7 +55,6 @@ class StoreConfig:
     default_timeout: float | None = None
     execution_mode: str = "auto"
     morsel_size: int | None = None
-    parallelism: int = 0
     use_reachability_rewrite: bool = True
     use_cost_based_planner: bool = True
 
@@ -70,8 +64,6 @@ class StoreConfig:
                 "execution_mode must be 'auto', 'batch' or 'rows'")
         if self.morsel_size is not None and self.morsel_size < 1:
             raise ValueError("morsel_size must be >= 1")
-        if self.parallelism < 0:
-            raise ValueError("parallelism must be >= 0")
         if self.default_timeout is not None and self.default_timeout <= 0:
             raise ValueError("default_timeout must be positive")
 

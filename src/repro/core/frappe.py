@@ -48,8 +48,7 @@ class Frappe:
                  use_reachability_rewrite: bool = True,
                  use_cost_based_planner: bool = True,
                  execution_mode: str = "auto",
-                 morsel_size: int | None = None,
-                 parallelism: int = 0) -> None:
+                 morsel_size: int | None = None) -> None:
         self.view = view
         #: one observability bundle per instance: the engine, page
         #: cache, store reader, indexes and traversals all emit into
@@ -65,8 +64,7 @@ class Frappe:
             view, default_timeout, obs=self.obs,
             use_reachability_rewrite=use_reachability_rewrite,
             use_cost_based_planner=use_cost_based_planner,
-            execution_mode=execution_mode, parallelism=parallelism,
-            **engine_kw)
+            execution_mode=execution_mode, **engine_kw)
         #: per-unit outcomes of the build this graph came from (None
         #: for stores opened from disk)
         self.build_report: BuildReport | None = None
@@ -127,7 +125,6 @@ class Frappe:
                    use_reachability_rewrite=config.use_reachability_rewrite,
                    use_cost_based_planner=config.use_cost_based_planner,
                    execution_mode=config.execution_mode,
-                   parallelism=config.parallelism,
                    **engine_kw)
 
     def save(self, directory: str) -> dict[str, int]:
@@ -155,8 +152,6 @@ class Frappe:
         if self._executor is not None:
             # drain, don't hang: queued-but-unstarted queries fail
             # deterministically with ServerClosedError
-            self.engine.task_spawner = None
-            self.engine.pool_workers = 0
             self._executor.close(wait=True)
             self._executor = None
         # duck-typed: StoreGraph and ShardedStore both own file
@@ -216,11 +211,6 @@ class Frappe:
                 self.engine.run, workers=workers,
                 queue_capacity=queue_capacity,
                 max_per_client=max_per_client, obs=self.obs)
-            # wire intra-query parallelism onto the same fair-share
-            # pool: a query may split its scan into morsel tasks
-            # (QueryOptions.parallelism; 0-auto = the pool width)
-            self.engine.task_spawner = self._executor.spawn_task
-            self.engine.pool_workers = self._executor.workers
         return self._executor
 
     def query_async(self, text: str,

@@ -610,22 +610,14 @@ def _match_batch(pattern: ast.Pattern, batch: RowBatch,
 
     builder = _Builder(setup.out_slots, morsel_size)
 
-    def run_steps(chunk: list[Any], context: ExecutionContext,
-                  prof: Any, parent: Any) -> list[Any]:
-        """The per-morsel operator chain: every step over one chunk.
-
-        ``prof``/``parent`` are the profiler wiring for *context* —
-        the main profiler with the Match plan node when run inline, a
-        task-local profiler with its root as parent when run on a
-        worker. Operator keys are identical either way, so task trees
-        merge back into the serial tree shape.
-        """
+    def run_steps(chunk: list[Any]) -> list[Any]:
+        """The per-morsel operator chain: every step over one chunk."""
         for step in steps:
             if not chunk:
                 break
-            if prof is not None:
-                step_op = prof.operator(
-                    parent, ("expand", 0, step.rel_index),
+            if profiler is not None:
+                step_op = profiler.operator(
+                    plan, ("expand", 0, step.rel_index),
                     "VarLengthExpand" if step.rel.var_length
                     else "Expand",
                     estimated=estimates.get(step.rel_index)
@@ -636,19 +628,17 @@ def _match_batch(pattern: ast.Pattern, batch: RowBatch,
                     if step.rel.var_length else None,
                     mode="reachability"
                     if _matcher._use_reachability(step, chunk[0][2],
-                                                  context) else None)
-                with prof.timed(step_op):
+                                                  ctx) else None)
+                with profiler.timed(step_op):
                     chunk = _expand_chunk(step, chunk, batch,
-                                          node_slots, rel_slots,
-                                          context)
+                                          node_slots, rel_slots, ctx)
                 step_op.rows += len(chunk)
             else:
                 chunk = _expand_chunk(step, chunk, batch, node_slots,
-                                      rel_slots, context)
+                                      rel_slots, ctx)
         return chunk
 
-    def columns_of(chunk: list[Any], context: ExecutionContext,
-                   ) -> list[list[Any]]:
+    def columns_of(chunk: list[Any]) -> list[list[Any]]:
         """Output columns (in state order) for one fully-expanded
         chunk: one pass per output slot."""
         columns: list[list[Any]] = []
@@ -664,116 +654,19 @@ def _match_batch(pattern: ast.Pattern, batch: RowBatch,
             else:
                 columns.append([
                     _matcher._build_path(pattern, dict(enumerate(bound)),
-                                         dict(enumerate(rels)), context)
+                                         dict(enumerate(rels)), ctx)
                     for _src, bound, _used, rels in chunk])
         return columns
 
     states = anchor_states()
-    buffered: list[list[Any]] = []
-    if ctx.parallelism > 1:
-        # peek ahead: with a single anchor chunk there is nothing to
-        # morsel-parallelize — fall through to the inline loop, where
-        # var-length expansion can frontier-parallelize instead
-        first = list(itertools.islice(states, morsel_size))
-        if first:
-            buffered.append(first)
-            second = list(itertools.islice(states, morsel_size))
-            if second:
-                buffered.append(second)
-                yield from _parallel_chunks(
-                    buffered, states, morsel_size, ctx, profiler, plan,
-                    run_steps, columns_of, builder)
-                if builder.count:
-                    yield builder.take()
-                return
     while True:
-        if buffered:
-            chunk = buffered.pop(0)
-        else:
-            chunk = list(itertools.islice(states, morsel_size))
+        chunk = list(itertools.islice(states, morsel_size))
         if not chunk:
             break
-        chunk = run_steps(chunk, ctx, profiler, plan)
-        yield from builder.extend(columns_of(chunk, ctx), len(chunk))
+        chunk = run_steps(chunk)
+        yield from builder.extend(columns_of(chunk), len(chunk))
     if builder.count:
         yield builder.take()
-
-
-class _InlineTask:
-    """`spawn` fallback when no serving pool is attached: runs the
-    task immediately on the calling thread. Parallel runs without a
-    pool therefore execute serially but through the identical
-    fork/merge path — the determinism the equivalence suite checks is
-    a property of the merge, not of the schedule."""
-
-    __slots__ = ("_result", "_error")
-
-    def __init__(self, fn: Any) -> None:
-        try:
-            self._result = fn()
-            self._error = None
-        except BaseException as error:  # noqa: BLE001 - re-raised below
-            self._result = None
-            self._error = error
-
-    def result(self) -> Any:
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-
-def _parallel_chunks(buffered: list[list[Any]], states: Iterator[Any],
-                     morsel_size: int, ctx: ExecutionContext,
-                     profiler: Any, plan: Any, run_steps: Any,
-                     columns_of: Any, builder: "_Builder",
-                     ) -> Iterator[RowBatch]:
-    """The morsel-driven parallel pipeline driver.
-
-    Anchor chunks are drawn serially on the caller (anchor-scan
-    db-hits stay on the main profiler, exactly where serial execution
-    charges them) and handed to the shared Executor pool as tasks; at
-    most ``ctx.parallelism`` are outstanding. Results are consumed in
-    draw order — the deterministic ordered merge — so output rows,
-    row order and morsel boundaries are byte-identical to the serial
-    loop, and each task's profiler tree / expansion counters fold back
-    in that same order.
-    """
-    from collections import deque
-
-    from repro.obs import QueryProfiler, merge_operator_stats
-
-    parallelism = ctx.parallelism
-    spawn = ctx.task_spawner
-    if profiler is not None:
-        plan.args["workers"] = parallelism
-
-    def run_task(chunk: list[Any], fork: ExecutionContext) -> Any:
-        out = run_steps(chunk, fork, fork.profiler, None)
-        return columns_of(out, fork), len(out), fork
-
-    pending: Any = deque()
-    drained = False
-    while True:
-        while not drained and len(pending) < parallelism:
-            if buffered:
-                chunk = buffered.pop(0)
-            else:
-                chunk = list(itertools.islice(states, morsel_size))
-            if not chunk:
-                drained = True
-                break
-            fork = ctx.fork(QueryProfiler()
-                            if profiler is not None else None)
-            fn = (lambda c=chunk, f=fork: run_task(c, f))
-            pending.append(spawn(fn) if spawn is not None
-                           else _InlineTask(fn))
-        if not pending:
-            return
-        columns, count, fork = pending.popleft().result()
-        ctx.absorb(fork)
-        if profiler is not None:
-            merge_operator_stats(plan, fork.profiler.root)
-        yield from builder.extend(columns, count)
 
 
 def _edge_filter(rel: ast.RelPattern, ctx: ExecutionContext):
@@ -1078,18 +971,9 @@ def _expand_reachability_vec(step: Any, source: int,
     depth = 0
     while frontier and (max_hops is None or depth < max_hops):
         depth += 1
-        if ctx.parallelism > 1 and len(frontier) > 1:
-            # frontier-parallel level: neighbour lists come back in
-            # frontier order and are merged below in that order, so
-            # first-reach order — hence the result rows — match the
-            # serial BFS exactly
-            level = _frontier_parallel(frontier, direction, types,
-                                       edge_ok, view, ctx)
-        else:
-            level = _reach_level(frontier, direction, types, edge_ok,
-                                 view, ctx)
         start = len(reached)
-        for neighbors in level:
+        for neighbors in _reach_level(frontier, direction, types,
+                                      edge_ok, view, ctx):
             # add() returns None: keeps, and marks, each first visit
             reached += [neighbor for neighbor in neighbors
                         if not (neighbor in visited or add(neighbor))]
@@ -1118,43 +1002,6 @@ def _reach_level(frontier: list[int], direction: Any,
             reached = [neighbor for edge_id, neighbor in pairs
                        if edge_ok(edge_id, view, ctx)]
         level.append(reached)
-    return level
-
-
-def _frontier_parallel(frontier: list[int], direction: Any,
-                       types: tuple[str, ...] | None, edge_ok: Any,
-                       view: Mapping[str, Any], ctx: ExecutionContext,
-                       ) -> list[Collection[int]]:
-    """Expand one BFS level on the pool: the frontier splits into
-    ``ctx.parallelism`` contiguous slices, each slice is read by
-    :func:`_reach_level` on a forked context, and the per-node
-    neighbour lists come back concatenated in frontier order.
-
-    Accounting merges in slice order: expansion ticks via
-    :meth:`ExecutionContext.absorb` and db-hits onto whichever
-    operator frame the caller holds open (the VarLengthExpand step) —
-    the same operator serial expansion charges. Adjacency memos are
-    shared and lock-exact, so each store read is charged once per key
-    regardless of which slice got there first.
-    """
-    from repro.obs import QueryProfiler
-
-    spawn = ctx.task_spawner
-    profiled = ctx.profiler is not None
-    size = -(-len(frontier) // ctx.parallelism)
-    tasks = []
-    for start in range(0, len(frontier), size):
-        fork = ctx.fork(QueryProfiler() if profiled else None)
-        fn = (lambda nodes=frontier[start:start + size], f=fork:
-              (_reach_level(nodes, direction, types, edge_ok, view, f), f))
-        tasks.append(spawn(fn) if spawn is not None else _InlineTask(fn))
-    level: list[Collection[int]] = []
-    for task in tasks:
-        out, fork = task.result()
-        ctx.absorb(fork)
-        if profiled:
-            ctx.db_hit(fork.profiler.root.db_hits)
-        level.extend(out)
     return level
 
 

@@ -67,8 +67,7 @@ class CypherEngine:
                  use_cost_based_planner: bool = True,
                  plan_cache_capacity: int = DEFAULT_CAPACITY,
                  execution_mode: str = "auto",
-                 morsel_size: int = DEFAULT_MORSEL_SIZE,
-                 parallelism: int = 0) -> None:
+                 morsel_size: int = DEFAULT_MORSEL_SIZE) -> None:
         self.view = view
         self.default_timeout = default_timeout
         self.use_index_seek = use_index_seek
@@ -81,20 +80,6 @@ class CypherEngine:
         self.execution_mode = execution_mode
         #: rows per batch in batch execution
         self.morsel_size = morsel_size
-        if parallelism < 0:
-            raise ValueError("parallelism must be >= 0")
-        #: morsel tasks per query in batch execution: 0 = auto (the
-        #: attached pool's worker count, serial without a pool), 1 =
-        #: serial, N = up to N concurrent tasks (per-query override
-        #: via QueryOptions.parallelism)
-        self.parallelism = parallelism
-        #: intra-query work spawner — ``callable(fn) -> handle`` on the
-        #: serving pool; Frappe.serve() wires this to
-        #: Executor.spawn_task (with pool_workers as the auto
-        #: parallelism), so queries parallelize onto the same
-        #: fair-share pool that runs them
-        self.task_spawner = None
-        self.pool_workers = 0
         # engine-persistent pattern-plan memo: cached plans outlive a
         # single run so re-executions of a cached query skip replanning
         # every MATCH clause; invalidated wholesale on epoch change
@@ -202,12 +187,6 @@ class CypherEngine:
         use_batch = mode == "batch" or \
             (mode == "auto" and batch_supported(query)
              and not self._route_to_rows(query, pinned, epoch))
-        parallelism = opts.parallelism
-        if parallelism is None:
-            parallelism = self.parallelism
-        if parallelism == 0:  # auto: fan out to the attached pool
-            parallelism = self.pool_workers \
-                if self.task_spawner is not None else 1
         if epoch != self._pattern_plan_epoch or \
                 len(self._pattern_plan_memo) > 4096 or \
                 len(self._start_candidate_memo) > 4096:
@@ -223,8 +202,6 @@ class CypherEngine:
             profiler=profiler,
             use_reachability_rewrite=rewrite,
             use_cost_based_planner=self.use_cost_based_planner,
-            parallelism=parallelism if use_batch else 1,
-            task_spawner=self.task_spawner,
             pattern_plans=self._pattern_plan_memo,
             start_candidates=self._start_candidate_memo)
         morsel_size = opts.morsel_size

@@ -34,8 +34,6 @@ class ExecutionContext:
                  profiler: Any | None = None,
                  use_reachability_rewrite: bool = True,
                  use_cost_based_planner: bool = True,
-                 parallelism: int = 1,
-                 task_spawner: Any | None = None,
                  pattern_plans: dict | None = None,
                  start_candidates: dict | None = None) -> None:
         self.view = view
@@ -51,12 +49,6 @@ class ExecutionContext:
         #: cost the anchor/step order from graph statistics instead of
         #: the fixed bound > label > property heuristic
         self.use_cost_based_planner = use_cost_based_planner
-        #: morsel tasks the batch driver may run concurrently (1 =
-        #: serial); resolved by the engine (0-auto already expanded)
-        self.parallelism = parallelism
-        #: ``callable(fn) -> handle-with-result()`` offering work to
-        #: the serving pool (None = run morsel tasks inline)
-        self.task_spawner = task_spawner
         #: :class:`~repro.obs.profile.QueryProfiler` under PROFILE,
         #: else None; None keeps the unprofiled hot path branch-cheap
         self.profiler = profiler
@@ -98,66 +90,6 @@ class ExecutionContext:
         # memoized, not its accounting)
         self._start_candidates: dict[str, tuple[int, ...]] = \
             start_candidates if start_candidates is not None else {}
-        # set on the first fork(): serializes the shared memos' miss
-        # paths so the parallel pipeline charges each store read
-        # exactly once per key, same as serial execution
-        self._memo_lock: Any | None = None
-
-    def fork(self, profiler: Any | None = None) -> "ExecutionContext":
-        """A task-local view of this context for one parallel morsel.
-
-        The fork shares the graph view, parameters, deadline and the
-        adjacency/neighbor memos (their miss paths become lock-exact so
-        db-hit totals stay byte-identical to serial execution), but
-        carries its own profiler and its own expansion counter — the
-        parallel driver merges both back deterministically, in task
-        order, after the task completes.
-        """
-        if self._memo_lock is None:
-            import threading
-            # reentrant: the neighbor-memo miss path may route through
-            # adjacency(), which takes the same lock
-            self._memo_lock = threading.RLock()
-        clone = object.__new__(ExecutionContext)
-        clone.view = self.view
-        clone.parameters = self.parameters
-        clone.timeout = self.timeout
-        clone.use_index_seek = self.use_index_seek
-        clone.use_reachability_rewrite = self.use_reachability_rewrite
-        clone.use_cost_based_planner = self.use_cost_based_planner
-        # a task never re-parallelizes: nested fan-out would oversubscribe
-        # the shared pool and break the ordered-merge accounting
-        clone.parallelism = 1
-        clone.task_spawner = None
-        clone.profiler = profiler
-        clone.started = self.started
-        clone.expansions = 0
-        clone._tick_counter = self._CHECK_EVERY - 1
-        clone._adjacency_memo = self._adjacency_memo
-        clone._neighbor_memo = self._neighbor_memo
-        clone._neighbor_id_memo = self._neighbor_id_memo
-        clone._resolve_neighbors = self._resolve_neighbors
-        clone._bulk_neighbors = self._bulk_neighbors
-        clone._bulk_neighbor_ids = self._bulk_neighbor_ids
-        clone.adjacency_hits = 0
-        clone.adjacency_misses = 0
-        clone._pattern_plans = self._pattern_plans
-        clone._start_candidates = self._start_candidates
-        clone._memo_lock = self._memo_lock
-        return clone
-
-    def absorb(self, fork: "ExecutionContext") -> None:
-        """Fold a completed fork's counters back into this context.
-
-        The parallel driver calls this in *task order* (the order
-        chunks were drawn), so ``result.stats.expansions`` and the
-        adjacency cache counters total exactly as serial execution
-        totals them. Profiler trees are merged separately via
-        :func:`repro.obs.profile.merge_operator_stats`.
-        """
-        self.expansions += fork.expansions
-        self.adjacency_hits += fork.adjacency_hits
-        self.adjacency_misses += fork.adjacency_misses
 
     def tick(self, count: int = 1) -> None:
         """Account work; raise if the time budget is exhausted."""
@@ -200,23 +132,6 @@ class ExecutionContext:
         if edges is not None:
             self.adjacency_hits += 1
             return edges
-        lock = self._memo_lock
-        if lock is not None:
-            # forked context: re-check under the lock so concurrent
-            # morsels charge the miss exactly once (serial db-hit
-            # totals are part of the batch engine's equivalence
-            # contract)
-            with lock:
-                edges = self._adjacency_memo.get(key)
-                if edges is not None:
-                    self.adjacency_hits += 1
-                    return edges
-                return self._adjacency_miss(key)
-        return self._adjacency_miss(key)
-
-    def _adjacency_miss(self, key: tuple[int, Any, Any],
-                        ) -> tuple[int, ...]:
-        node_id, direction, types = key
         self.adjacency_misses += 1
         edges = tuple(self.view.edges_of(node_id, direction, types))
         self.db_hit(len(edges) or 1)
@@ -241,19 +156,6 @@ class ExecutionContext:
         if pairs is not None:
             self.adjacency_hits += 1
             return pairs
-        lock = self._memo_lock
-        if lock is not None:
-            with lock:
-                pairs = self._neighbor_memo.get(key)
-                if pairs is not None:
-                    self.adjacency_hits += 1
-                    return pairs
-                return self._neighbors_miss(key)
-        return self._neighbors_miss(key)
-
-    def _neighbors_miss(self, key: tuple[int, Any, Any],
-                        ) -> list[tuple[int, int]]:
-        node_id, direction, types = key
         if self._bulk_neighbors is not None:
             # the logical access is charged here, once per key per
             # query, exactly as the adjacency() miss path charges it —
@@ -294,19 +196,6 @@ class ExecutionContext:
         if ids is not None:
             self.adjacency_hits += 1
             return ids
-        lock = self._memo_lock
-        if lock is not None:
-            with lock:
-                ids = self._neighbor_id_memo.get(key)
-                if ids is not None:
-                    self.adjacency_hits += 1
-                    return ids
-                return self._neighbor_ids_miss(key)
-        return self._neighbor_ids_miss(key)
-
-    def _neighbor_ids_miss(self, key: tuple[int, Any, Any],
-                           ) -> Collection[int]:
-        node_id, direction, types = key
         pairs = self._neighbor_memo.get(key)
         if pairs is None and self._bulk_neighbor_ids is not None:
             self.adjacency_misses += 1

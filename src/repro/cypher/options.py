@@ -48,14 +48,6 @@ class QueryOptions:
     morsel_size
         Rows per batch in batch execution; ``None`` inherits the
         engine's morsel size (default 1024).
-    parallelism
-        Worker tasks for the morsel-driven parallel pipeline in batch
-        execution: ``None`` inherits the engine setting, ``0`` means
-        auto (the serving pool's worker count when one is attached,
-        else serial), ``1`` forces serial, ``N > 1`` runs up to N
-        morsel tasks concurrently on the shared Executor pool. Output
-        rows, row order and PROFILE db-hit counts are identical at
-        every setting.
     """
 
     timeout: float | None = None
@@ -65,7 +57,6 @@ class QueryOptions:
     use_reachability_rewrite: bool | None = None
     execution_mode: str | None = None
     morsel_size: int | None = None
-    parallelism: int | None = None
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
@@ -78,8 +69,6 @@ class QueryOptions:
                 "execution_mode must be 'auto', 'batch' or 'rows'")
         if self.morsel_size is not None and self.morsel_size < 1:
             raise ValueError("morsel_size must be >= 1")
-        if self.parallelism is not None and self.parallelism < 0:
-            raise ValueError("parallelism must be >= 0")
 
     @classmethod
     def resolve(cls, options: "QueryOptions | None" = None, *,

@@ -18,7 +18,7 @@ Dialect notes (matching the paper's usage):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.cypher import ast
 from repro.cypher.lexer import EOF, IDENT, INT, PARAM, PUNCT, STRING, Token, tokenize
@@ -28,6 +28,14 @@ _CLAUSE_KEYWORDS = {"START", "MATCH", "OPTIONAL", "WHERE", "WITH", "RETURN",
                     "ORDER", "SKIP", "LIMIT", "AND", "OR", "NOT", "AS",
                     "DISTINCT", "ASC", "DESC", "BY", "XOR", "IS", "NULL",
                     "TRUE", "FALSE"}
+
+#: Deepest expression nesting :func:`parse` accepts. Each parenthesis,
+#: list, function argument list, map value, ``NOT`` and sign opens one
+#: level below its enclosing expression (a top-level expression is
+#: level 1). An explicit bound rather than the interpreter's recursion
+#: limit, so a hostile query is refused as a syntax error, at the
+#: token that crosses it, on every Python version.
+MAX_NESTING_DEPTH = 32
 
 
 def parse(text: str) -> ast.Query:
@@ -40,6 +48,7 @@ class _Parser:
         self._text = text
         self._tokens = list(tokenize(text))
         self._index = 0
+        self._depth = 0
 
     # -- plumbing ------------------------------------------------------------
 
@@ -58,6 +67,21 @@ class _Parser:
         found = token.text or "end of query"
         return CypherSyntaxError(f"{message} (found {found!r})",
                                  token.line, token.column)
+
+    def _nested(self, parse: Callable[[], ast.Expr]) -> ast.Expr:
+        """Run *parse* one nesting level down, refusing to go deeper
+        than :data:`MAX_NESTING_DEPTH`."""
+        if self._depth >= MAX_NESTING_DEPTH:
+            raise self._error(
+                f"expression nested deeper than {MAX_NESTING_DEPTH} "
+                "levels")
+        self._depth += 1
+        try:
+            return parse()
+        finally:
+            # pattern predicates backtrack over syntax errors, so the
+            # level must be released on the error path too
+            self._depth -= 1
 
     def _expect_punct(self, text: str) -> Token:
         token = self._peek()
@@ -407,7 +431,7 @@ class _Parser:
     # -- expressions --------------------------------------------------------------
 
     def _expression(self) -> ast.Expr:
-        return self._or_expr()
+        return self._nested(self._or_expr)
 
     def _or_expr(self) -> ast.Expr:
         left = self._and_expr()
@@ -426,7 +450,7 @@ class _Parser:
     def _not_expr(self) -> ast.Expr:
         if self._at_keyword("NOT"):
             self._advance()
-            return ast.Unary("not", self._not_expr())
+            return ast.Unary("not", self._nested(self._not_expr))
         pattern = self._try_pattern_predicate()
         if pattern is not None:
             return pattern
@@ -499,10 +523,10 @@ class _Parser:
     def _unary(self) -> ast.Expr:
         if self._at_punct("-"):
             self._advance()
-            return ast.Unary("-", self._unary())
+            return ast.Unary("-", self._nested(self._unary))
         if self._at_punct("+"):
             self._advance()
-            return self._unary()
+            return self._nested(self._unary)
         return self._postfix()
 
     def _postfix(self) -> ast.Expr:

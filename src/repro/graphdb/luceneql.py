@@ -24,9 +24,15 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from repro.errors import LuceneQueryError
+
+#: Deepest parenthesis/``NOT`` nesting :func:`parse_query` accepts. An
+#: explicit bound rather than the interpreter's recursion limit, so a
+#: hostile query is refused as a :class:`LuceneQueryError` naming the
+#: offset that crosses it, on every Python version.
+MAX_NESTING_DEPTH = 100
 
 
 # --------------------------------------------------------------------------
@@ -113,6 +119,7 @@ class _Parser:
         self._text = text
         self._tokens = list(_tokenize(text))
         self._index = 0
+        self._depth = 0
 
     def parse(self) -> QueryNode:
         node = self._or_expr()
@@ -157,10 +164,10 @@ class _Parser:
                 f"unexpected end of index query {self._text!r}")
         if token.kind == "word" and token.text.upper() == "NOT":
             self._advance()
-            return Not(self._unary())
+            return Not(self._nested(token, self._unary))
         if token.kind == "lparen":
             self._advance()
-            node = self._or_expr()
+            node = self._nested(token, self._or_expr)
             closing = self._peek()
             if closing is None or closing.kind != "rparen":
                 raise LuceneQueryError(
@@ -168,6 +175,19 @@ class _Parser:
             self._advance()
             return node
         return self._clause()
+
+    def _nested(self, token: _Token,
+                parse: Callable[[], QueryNode]) -> QueryNode:
+        """Run *parse* one level below *token* (a ``NOT`` or ``(``),
+        refusing to go deeper than :data:`MAX_NESTING_DEPTH`."""
+        if self._depth >= MAX_NESTING_DEPTH:
+            raise LuceneQueryError(
+                f"query nested deeper than {MAX_NESTING_DEPTH} levels at "
+                f"offset {token.position} in index query {self._text!r}")
+        self._depth += 1
+        node = parse()
+        self._depth -= 1
+        return node
 
     def _clause(self) -> Clause:
         field_token = self._expect("word", "field name")

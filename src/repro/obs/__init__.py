@@ -16,8 +16,7 @@ from __future__ import annotations
 from repro.obs.metrics import (Counter, Gauge, Histogram,
                                HistogramSnapshot, MetricsRegistry,
                                MetricsSnapshot)
-from repro.obs.profile import (OperatorStats, QueryProfiler,
-                               merge_operator_stats)
+from repro.obs.profile import OperatorStats, QueryProfiler
 from repro.obs.slowlog import (DEFAULT_THRESHOLD_SECONDS, SlowQueryEntry,
                                SlowQueryLog)
 from repro.obs.trace import Span, Tracer
@@ -26,7 +25,6 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "HistogramSnapshot",
     "MetricsRegistry", "MetricsSnapshot", "Observability",
     "OperatorStats", "QueryProfiler", "SlowQueryEntry", "SlowQueryLog",
-    "merge_operator_stats",
     "Span", "Tracer", "DEFAULT_THRESHOLD_SECONDS",
 ]
 

@@ -48,37 +48,6 @@ class OperatorStats:
                 f"db_hits={self.db_hits}, {self.time_ms:.2f}ms)")
 
 
-def merge_operator_stats(target: OperatorStats,
-                         source: OperatorStats) -> None:
-    """Fold *source*'s subtree into *target* (matching children by
-    operator key, recursively).
-
-    This is how the parallel batch driver keeps PROFILE output
-    byte-identical to serial execution: each worker task profiles into
-    its own tree with the *same operator keys* the serial pipeline
-    uses, and the driver merges the task trees back in task order.
-    Counters (rows, batches, db_hits, time_ns) sum; name/args/estimate
-    follow the first-visit-wins rule :meth:`QueryProfiler.operator`
-    already applies within one tree. Per-operator totals are therefore
-    schedule-independent: every task's same-keyed stats land in one
-    node regardless of which worker ran which morsel.
-    """
-    target.rows += source.rows
-    target.batches += source.batches
-    target.db_hits += source.db_hits
-    target.time_ns += source.time_ns
-    if target.estimated_rows is None:
-        target.estimated_rows = source.estimated_rows
-    for key, child in source._child_index.items():
-        mine = target._child_index.get(key)
-        if mine is None:
-            mine = OperatorStats(child.name, dict(child.args))
-            mine.estimated_rows = child.estimated_rows
-            target._child_index[key] = mine
-            target.children.append(mine)
-        merge_operator_stats(mine, child)
-
-
 class QueryProfiler:
     """Builds an annotated operator tree while a query executes."""
 

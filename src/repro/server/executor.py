@@ -63,14 +63,16 @@ class QueryJob:
 
 
 class TaskHandle:
-    """A claimable unit of intra-query work (``Executor.spawn_task``).
+    """A claimable unit of intra-query work (``Executor.spawn_task``):
+    one shard partial of a scattered query
+    (:meth:`repro.server.shard.ShardRouter.execute`).
 
     Exactly one thread runs the task: a pool worker that claims it
     from the task deque, or the spawner itself inside :meth:`result`
-    (caller-help). Caller-help is the no-deadlock guarantee — a query
-    that parallelized itself onto a saturated pool degrades to running
-    its own morsels inline instead of waiting on workers that are all
-    busy running queries that are themselves waiting on tasks.
+    (caller-help). Caller-help is the no-deadlock guarantee — a
+    scatter on a saturated pool degrades to collecting its own
+    partials inline instead of waiting on workers that are all busy
+    running queries that are themselves waiting on tasks.
     """
 
     __slots__ = ("_fn", "_claimed", "_lock", "_done", "_result",
@@ -180,7 +182,7 @@ class Executor:
             if max_per_client is not None \
             else max(1, queue_capacity // 4)
         self._queue: deque[QueryJob] = deque()
-        #: intra-query work (morsel tasks) — preferred over new jobs
+        #: intra-query work (shard partials) — preferred over new jobs
         #: so a running query finishes before fresh ones start
         self._tasks: deque[TaskHandle] = deque()
         self._lock = threading.Lock()
@@ -254,7 +256,9 @@ class Executor:
         return job.future
 
     def spawn_task(self, fn: Callable[[], Any]) -> TaskHandle:
-        """Offer *fn* to the pool as intra-query work.
+        """Offer *fn* to the pool as intra-query work — the shard
+        router's scatter runs each shard partial this way, so the
+        partials wait on their replica pipes concurrently.
 
         Unlike :meth:`submit`, tasks bypass admission control: they
         are fractions of an already-admitted query, so refusing them

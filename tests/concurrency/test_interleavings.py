@@ -227,85 +227,6 @@ class TestInterleavings:
             scheduler.run(max_steps=50)
 
 
-class TestParallelQueryEpochPinning:
-    """ISSUE 8: a morsel-parallel query over a mutating graph pins one
-    snapshot epoch.  Mutations are injected at every task-spawn
-    boundary — the only points where parallel execution could observe
-    the outside world move — so a driver that re-read live state for a
-    later morsel would tear the result against the model."""
-
-    @pytest.mark.parametrize("seed", list(range(6)))
-    def test_mutations_between_morsel_tasks_never_tear(self, seed):
-        from repro.cypher import QueryOptions
-        from repro.cypher.batch import _InlineTask
-
-        graph = seed_graph()
-        for index in range(4, 12):  # enough anchors for several morsels
-            graph.add_node("function", short_name=f"fn{index}")
-        model = EpochModel(graph)
-        engine = CypherEngine(graph)
-        rng = random.Random(seed * 104729 + 1)
-        fresh = [100]
-        spawns = [0]
-
-        def mutate_once():
-            functions = [node_id for node_id in graph.node_ids()
-                         if "function" in graph.node_labels(node_id)]
-            op = rng.randrange(3)
-            if op == 0 or len(functions) <= 2:
-                graph.add_node("function",
-                               short_name=f"fn{fresh[0]}")
-                fresh[0] += 1
-            elif op == 1:
-                graph.remove_node(rng.choice(functions))
-            else:
-                victim = rng.choice(functions)
-                graph.set_node_property(
-                    victim, "short_name", f"renamed{victim}")
-            model.record()
-
-        def spawn(fn):
-            spawns[0] += 1
-            mutate_once()  # the world moves between morsel tasks
-            return _InlineTask(fn)
-
-        engine.task_spawner = spawn
-        engine.pool_workers = 4
-        options = QueryOptions(execution_mode="batch", morsel_size=2,
-                               parallelism=4)
-        epochs = []
-        for _ in range(8):
-            result = engine.run(NAME_QUERY, options=options)
-            # rows must match the model at the *pinned* epoch, not at
-            # whatever the graph looked like when a late morsel ran
-            epochs.append(model.check_names(result))
-        assert spawns[0] > 0, "parallel driver never spawned a task"
-        assert len(set(epochs)) > 1  # the graph really moved
-        assert epochs == sorted(epochs)
-
-    def test_replay_is_deterministic(self):
-        def observe(seed):
-            random.seed(0)  # isolate from any ambient randomness
-            graph = seed_graph()
-            model = EpochModel(graph)
-            engine = CypherEngine(graph)
-            from repro.cypher import QueryOptions
-            from repro.cypher.batch import _InlineTask
-            engine.task_spawner = lambda fn: _InlineTask(fn)
-            engine.pool_workers = 4
-            rows = []
-            for _ in range(3):
-                result = engine.run(
-                    NAME_QUERY,
-                    options=QueryOptions(execution_mode="batch",
-                                         morsel_size=1,
-                                         parallelism=4))
-                rows.append((result.stats.epoch, result.rows))
-            return rows
-
-        assert observe(1) == observe(1)
-
-
 class TestPlanCacheUnderInterleaving:
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_cached_plans_never_serve_stale_rows(self, seed):

@@ -63,12 +63,12 @@ class TestWireForm:
         # process-local cache
         assert sorted(config.to_dict()) == [
             "default_timeout", "execution_mode", "mmap", "morsel_size",
-            "parallelism", "use_cost_based_planner",
-            "use_reachability_rewrite"]
+            "use_cost_based_planner", "use_reachability_rewrite"]
 
     @pytest.mark.parametrize("key", ["mmaped", "use_csr_adjacency",
                                      "use_compiled_kernels",
-                                     "use_compiled_csr"])
+                                     "use_compiled_csr",
+                                     "parallelism"])
     def test_from_dict_rejects_unknown_keys(self, key):
         with pytest.raises(ValueError, match=key):
             StoreConfig.from_dict({key: True})

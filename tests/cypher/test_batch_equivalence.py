@@ -107,33 +107,24 @@ def assert_modes_agree(graph, text, morsel_size):
         row_result.stats.rows_produced
 
 
-def assert_three_way(engine, text, morsel_size, parallelism):
-    """rows == serial batch == parallel batch: columns, rows, order,
-    expansion counts AND profiled db-hit totals (the morsel driver's
-    ordered merge must leave no observable trace of the task
-    decomposition)."""
+def assert_profiled_modes_agree(engine, text, morsel_size):
+    """rows == batch under PROFILE: columns, rows, order, expansion
+    counts AND profiled db-hit totals (the morsel boundaries must
+    leave no observable trace on the accounting)."""
     rows = engine.run(
         text, options=QueryOptions(execution_mode="rows",
                                    profile=True))
-    serial = engine.run(
+    batch = engine.run(
         text, options=QueryOptions(execution_mode="batch",
                                    morsel_size=morsel_size,
-                                   parallelism=1, profile=True))
-    parallel = engine.run(
-        text, options=QueryOptions(execution_mode="batch",
-                                   morsel_size=morsel_size,
-                                   parallelism=parallelism,
                                    profile=True))
-    assert serial.columns == rows.columns == parallel.columns
-    assert serial.rows == rows.rows, text
-    assert parallel.rows == serial.rows, \
-        f"{text} (morsel={morsel_size}, parallelism={parallelism})"
-    assert parallel.stats.rows_produced == serial.stats.rows_produced
-    assert parallel.stats.expansions == serial.stats.expansions == \
-        rows.stats.expansions, \
-        f"{text} (morsel={morsel_size}, parallelism={parallelism})"
-    assert parallel.stats.db_hits == serial.stats.db_hits, \
-        f"{text} (morsel={morsel_size}, parallelism={parallelism})"
+    assert batch.columns == rows.columns
+    assert batch.rows == rows.rows, f"{text} (morsel={morsel_size})"
+    assert batch.stats.rows_produced == rows.stats.rows_produced
+    assert batch.stats.expansions == rows.stats.expansions, \
+        f"{text} (morsel={morsel_size})"
+    assert batch.stats.db_hits == rows.stats.db_hits, \
+        f"{text} (morsel={morsel_size})"
 
 
 class TestBatchRowEquivalence:
@@ -173,61 +164,21 @@ class TestBatchRowEquivalence:
         assert auto.rows == rows.rows
 
 
-class TestParallelBatchEquivalence:
-    """ISSUE 8: the morsel-parallel driver is observationally
-    identical to serial batch (which is identical to rows) — same
-    rows, same order, same profiled db-hit totals — across the full
-    (parallelism x morsel size) grid. Without a pool attached the
-    driver falls back to inline tasks, which exercises the exact same
-    fork/ordered-merge path; determinism is a property of the merge,
-    not of the schedule."""
+class TestProfiledBatchEquivalence:
+    """Profiled batch execution is observationally identical to
+    profiled rows — same rows, same order, same expansion and db-hit
+    totals — across the morsel-size grid."""
 
     @settings(max_examples=100, deadline=None)
     @given(graph=call_graphs(), text=queries(),
-           morsel_size=st.sampled_from([1, 128, 1024]),
-           parallelism=st.sampled_from([1, 2, 8]))
-    def test_single_match_pipeline(self, graph, text, morsel_size,
-                                   parallelism):
-        assert_three_way(CypherEngine(graph), text, morsel_size,
-                         parallelism)
+           morsel_size=st.sampled_from([1, 128, 1024]))
+    def test_single_match_pipeline(self, graph, text, morsel_size):
+        assert_profiled_modes_agree(CypherEngine(graph), text,
+                                    morsel_size)
 
     @settings(max_examples=40, deadline=None)
     @given(graph=call_graphs(), text=with_queries(),
-           morsel_size=st.sampled_from([1, 128]),
-           parallelism=st.sampled_from([2, 8]))
-    def test_with_pipeline(self, graph, text, morsel_size,
-                           parallelism):
-        assert_three_way(CypherEngine(graph), text, morsel_size,
-                         parallelism)
-
-    @settings(max_examples=40, deadline=None)
-    @given(graph=call_graphs(max_nodes=6), text=queries(),
-           morsel_size=st.sampled_from([1, 128]),
-           parallelism=st.sampled_from([2, 8]))
-    def test_on_a_real_thread_pool(self, graph, text, morsel_size,
-                                   parallelism):
-        # same grid, but tasks really run on Executor worker threads
-        from repro.server.executor import Executor
-        executor = Executor(lambda *a, **k: None, workers=2)
-        engine = CypherEngine(graph)
-        engine.task_spawner = executor.spawn_task
-        engine.pool_workers = executor.workers
-        try:
-            assert_three_way(engine, text, morsel_size, parallelism)
-        finally:
-            engine.task_spawner = None
-            executor.close(wait=True)
-
-    @settings(max_examples=25, deadline=None)
-    @given(graph=call_graphs(),
-           morsel_size=st.sampled_from([1, 128]),
-           parallelism=st.sampled_from([2, 8]))
-    def test_var_length_frontier_parallel(self, graph, morsel_size,
-                                          parallelism):
-        # reachability expansion takes the frontier-parallel path;
-        # first-reach order (hence DISTINCT row order) must not move
-        assert_three_way(
-            CypherEngine(graph),
-            "MATCH (a:function)-[:calls*]->(b) "
-            "RETURN DISTINCT a.short_name, b.short_name",
-            morsel_size, parallelism)
+           morsel_size=st.sampled_from([1, 128]))
+    def test_with_pipeline(self, graph, text, morsel_size):
+        assert_profiled_modes_agree(CypherEngine(graph), text,
+                                    morsel_size)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cypher import ast, parse
+from repro.cypher.parser import MAX_NESTING_DEPTH
 from repro.errors import CypherSyntaxError
 
 
@@ -307,3 +308,36 @@ RETURN distinct writer, write.use_start_line""")
         query = parse('MATCH (n:container:symbol{name: "foo"}) RETURN n')
         node = query.clauses[0].patterns[0].nodes[0]
         assert node.labels == ("container", "symbol")
+
+
+def _nested_list(levels):
+    """``RETURN`` of a list literal whose expression is *levels* deep
+    (the top-level expression is level 1)."""
+    brackets = levels - 1
+    return "RETURN " + "[" * brackets + "1" + "]" * brackets
+
+
+class TestNestingBound:
+    def test_at_the_bound(self):
+        query = parse(_nested_list(MAX_NESTING_DEPTH))
+        value = query.clauses[0].items[0].expression
+        for _ in range(MAX_NESTING_DEPTH - 1):
+            value = value.args[0]
+        assert value == ast.Literal(1)
+
+    @pytest.mark.parametrize("text", [
+        _nested_list(MAX_NESTING_DEPTH + 1),
+        _nested_list(1000),
+        "RETURN " + "(" * 1000 + "1" + ")" * 1000,
+        "RETURN " + "NOT " * 1000 + "true",
+        "RETURN " + "-" * 1000 + "1",
+        "RETURN " + "size(" * 1000 + "1" + ")" * 1000,
+        "MATCH (n {k: " + "[" * 1000 + "1" + "]" * 1000 + "}) RETURN n",
+    ], ids=["bound+1", "list-1000", "parens-1000", "not-1000",
+            "sign-1000", "call-1000", "property-map-1000"])
+    def test_past_the_bound_is_a_positioned_syntax_error(self, text):
+        with pytest.raises(CypherSyntaxError,
+                           match="nested deeper than") as raised:
+            parse(text)
+        assert raised.value.line == 1
+        assert raised.value.column > 1

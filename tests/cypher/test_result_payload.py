@@ -118,6 +118,9 @@ class TestOptionsWireForm:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="max_row"):
             QueryOptions.from_dict({"max_row": 5})
+        # a retired knob is an error, never silently ignored
+        with pytest.raises(ValueError, match="parallelism"):
+            QueryOptions.from_dict({"parallelism": 2})
 
     def test_invalid_value_rejected(self):
         with pytest.raises(ValueError):

@@ -100,6 +100,27 @@ class TestQueryStrings:
         with pytest.raises(LuceneQueryError):
             list(graph.indexes.query("type:"))
 
+    def test_nesting_at_the_bound_parses(self):
+        depth = luceneql.MAX_NESTING_DEPTH
+        assert luceneql.parse_query(
+            "(" * depth + "type: struct" + ")" * depth) == \
+            luceneql.Clause("type", "struct")
+        assert luceneql.parse_query("NOT " * depth + "type: struct") \
+            is not None
+
+    @pytest.mark.parametrize("text,offset", [
+        ("(" * 101 + "type: struct" + ")" * 101, 100),
+        ("(" * 400 + "type: struct" + ")" * 400, 100),
+        ("NOT " * 400 + "type: struct", 400),
+    ], ids=["bound+1", "parens-400", "not-400"])
+    def test_nesting_past_the_bound_is_a_query_error(self, text, offset):
+        # refused by name at the crossing offset, not a RecursionError
+        assert luceneql.MAX_NESTING_DEPTH == 100
+        with pytest.raises(LuceneQueryError,
+                           match=f"nested deeper than 100 levels at "
+                                 f"offset {offset}"):
+            luceneql.parse_query(text)
+
 
 class TestLabelIndex:
     def test_label_lookup(self, graph):

@@ -88,74 +88,3 @@ class TestToPlan:
         assert expand_plan.db_hits == 4
         assert plan.total_db_hits() == 4
         assert plan.profiled
-
-
-class TestMergeOperatorStats:
-    """Folding per-task profiler trees back into the main tree (the
-    parallel batch driver's PROFILE merge)."""
-
-    @staticmethod
-    def _task_tree(rows, hits):
-        profiler = QueryProfiler()
-        match = profiler.operator(None, "m", "Match", pattern="(a)")
-        match.rows += rows
-        expand = profiler.operator(match, ("expand", 0, 1), "Expand",
-                                   types="calls")
-        expand.rows += rows
-        expand.db_hits += hits
-        expand.time_ns += 10
-        return profiler
-
-    def test_counters_sum_children_match_by_key(self):
-        from repro.obs import merge_operator_stats
-        main = self._task_tree(rows=3, hits=5)
-        task = self._task_tree(rows=2, hits=7)
-        merge_operator_stats(main.root, task.root)
-        match = main.root.children[0]
-        assert len(main.root.children) == 1  # merged, not appended
-        assert match.rows == 5
-        assert len(match.children) == 1
-        expand = match.children[0]
-        assert expand.rows == 5
-        assert expand.db_hits == 12
-        assert expand.time_ns == 20
-
-    def test_merge_order_invariant_totals(self):
-        # per-operator totals must not depend on which task merges
-        # first — the schedule-independence PROFILE parity relies on
-        from repro.obs import merge_operator_stats
-        forward = self._task_tree(1, 1)
-        for rows, hits in ((2, 3), (4, 5)):
-            merge_operator_stats(forward.root,
-                                 self._task_tree(rows, hits).root)
-        backward = self._task_tree(1, 1)
-        for rows, hits in ((4, 5), (2, 3)):
-            merge_operator_stats(backward.root,
-                                 self._task_tree(rows, hits).root)
-        f = forward.root.children[0].children[0]
-        b = backward.root.children[0].children[0]
-        assert (f.rows, f.db_hits, f.time_ns) == \
-            (b.rows, b.db_hits, b.time_ns)
-
-    def test_unseen_children_are_grafted(self):
-        from repro.obs import merge_operator_stats
-        main = QueryProfiler()
-        main.operator(None, "m", "Match")
-        task = self._task_tree(rows=2, hits=3)
-        merge_operator_stats(main.root, task.root)
-        match = main.root.children[0]
-        assert [child.name for child in match.children] == ["Expand"]
-        assert match.children[0].db_hits == 3
-
-    def test_first_visit_wins_args_and_estimate(self):
-        from repro.obs import merge_operator_stats
-        main = self._task_tree(1, 1)
-        main.root.children[0].estimated_rows = None
-        task = self._task_tree(1, 1)
-        task.root.children[0].estimated_rows = 9
-        merge_operator_stats(main.root, task.root)
-        assert main.root.children[0].estimated_rows == 9
-        task2 = self._task_tree(1, 1)
-        task2.root.children[0].estimated_rows = 77
-        merge_operator_stats(main.root, task2.root)
-        assert main.root.children[0].estimated_rows == 9

@@ -384,6 +384,30 @@ class TestFrappeIntegration:
         assert result.values() == sync.values()
         assert result.stats.epoch == sync.stats.epoch
 
+    def test_served_query_matches_sync_accounting(self):
+        # a query run on the serving pool executes exactly as the
+        # synchronous call: same rows, db-hits and expansions
+        graph = PropertyGraph()
+        nodes = [graph.add_node("function", short_name=f"f{index}")
+                 for index in range(40)]
+        for index, node in enumerate(nodes):
+            graph.add_edge(node, nodes[(index * 7 + 1) % 40], "calls")
+            graph.add_edge(node, nodes[(index + 3) % 40], "calls")
+        options = QueryOptions(profile=True, execution_mode="batch",
+                               morsel_size=4)
+        with Frappe(graph) as frappe:
+            frappe.serve(2)
+            for text in (
+                    "MATCH (n:function) RETURN n.short_name",
+                    "MATCH (a:function {short_name: 'f0'})"
+                    "-[:calls*]->(b) RETURN DISTINCT b.short_name"):
+                sync = frappe.query(text, options=options)
+                served = frappe.query_async(
+                    text, options=options).result(timeout=10.0)
+                assert served.rows == sync.rows
+                assert served.stats.db_hits == sync.stats.db_hits > 0
+                assert served.stats.expansions == sync.stats.expansions
+
     def test_concurrent_submitters(self, frappe):
         frappe.serve(workers=4)
         futures = [frappe.query_async(self.QUERY, client=f"c{i % 3}")

@@ -206,6 +206,19 @@ class TestErrorMapping:
         with pytest.raises(CypherSyntaxError):
             client.query("MATCH (((")
 
+    def test_deeply_nested_query_is_400(self, server, client):
+        # a malformed query, not a server fault: the parser's nesting
+        # bound answers before the interpreter's recursion limit
+        text = "RETURN " + "[" * 1000 + "1" + "]" * 1000
+        status, body = http_post(server, "/v1/query",
+                                 json.dumps({"query": text}).encode())
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert error["type"] == "CypherSyntaxError"
+        assert "nested deeper than" in error["message"]
+        with pytest.raises(CypherSyntaxError, match="line 1, column"):
+            client.query(text)
+
     def test_unknown_option_is_400(self, server):
         status, body = http_post(
             server, "/v1/query",

@@ -51,7 +51,8 @@ class TestQueryRequest:
             wire.parse_query_request(b'{"query": "RETURN 1", '
                                      b'"cypher": "x"}')
 
-    @pytest.mark.parametrize("key", ["max_row", "use_compiled_kernels"])
+    @pytest.mark.parametrize("key", ["max_row", "use_compiled_kernels",
+                                     "parallelism"])
     def test_rejects_unknown_option_key(self, key):
         body = json.dumps({"query": "RETURN 1",
                            "options": {key: 5}}).encode()

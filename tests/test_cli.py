@@ -282,6 +282,12 @@ class TestServe:
         assert main(["serve", store]) == 1
         assert "[0] error:" in capsys.readouterr().err
 
+    def test_removed_parallelism_flag_is_rejected(self, store, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", store, "--parallelism", "2"])
+        assert exit_info.value.code == 2
+        assert "--parallelism" in capsys.readouterr().err
+
     def test_serve_stdin_json_mode(self, store, capsys, monkeypatch):
         import io
         import json
